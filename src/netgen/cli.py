@@ -35,7 +35,7 @@ from .interpret import (
     mean_graph,
     module_difference_scores,
 )
-from .predictor import GcnConfig, PIPELINES
+from .predictor import GcnConfig, PIPELINES, pipeline_encoder
 from .training import (
     TrainConfig,
     ablate,
@@ -238,6 +238,20 @@ def _resolve_dataset(cfg: ExperimentConfig) -> Dataset:
     return load_dataset(path)
 
 
+def _check_series_length(cfg: ExperimentConfig, ds: Dataset, pipelines, windows=None,
+                         key: str = "encoder.window") -> None:
+    """Reject up front every encoder window, among those the run will train
+    with, that is too long for the dataset's series."""
+    for pipeline in pipelines:
+        for window in windows or [cfg.train_cfg.encoder.window]:
+            enc = pipeline_encoder(pipeline, replace(cfg.train_cfg.encoder, window=window))
+            if enc is not None and ds.t < enc.min_length():
+                raise ConfigError(
+                    f"{key} {window} is too long for the series: the {pipeline} pipeline "
+                    f"needs t >= {enc.min_length()}, the dataset has t={ds.t}"
+                )
+
+
 class _RunLog:
     """Collects timestamped lines; the only artifact allowed to vary."""
 
@@ -287,6 +301,7 @@ def cmd_synth(cfg: ExperimentConfig, out_dir: Path, log: _RunLog) -> None:
 
 def cmd_train(cfg: ExperimentConfig, out_dir: Path, log: _RunLog) -> None:
     ds = _resolve_dataset(cfg)
+    _check_series_length(cfg, ds, [cfg.pipeline or f"fbnetgen-{cfg.train_cfg.encoder.kind}"])
     seed = cfg.seeds[0]
     run_cfg = replace(cfg.train_cfg, seed=seed, split=replace(cfg.train_cfg.split, seed=seed))
     tm, history = train(run_cfg, ds, pipeline=cfg.pipeline)
@@ -328,6 +343,7 @@ def cmd_train(cfg: ExperimentConfig, out_dir: Path, log: _RunLog) -> None:
 
 def cmd_compare(cfg: ExperimentConfig, out_dir: Path, log: _RunLog) -> None:
     ds = _resolve_dataset(cfg)
+    _check_series_length(cfg, ds, PIPELINES)
     rows = compare(cfg.train_cfg, ds, cfg.seeds)
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = ["pipeline,auroc_mean,auroc_std,accuracy_mean,accuracy_std"]
@@ -347,6 +363,7 @@ def cmd_compare(cfg: ExperimentConfig, out_dir: Path, log: _RunLog) -> None:
 
 def cmd_ablate(cfg: ExperimentConfig, out_dir: Path, log: _RunLog) -> None:
     ds = _resolve_dataset(cfg)
+    _check_series_length(cfg, ds, [f"fbnetgen-{cfg.train_cfg.encoder.kind}"])
     rows = ablate(cfg.train_cfg, ds, cfg.seeds)
     out_dir.mkdir(parents=True, exist_ok=True)
     header = ["variant"] + [f"seed{s}" for s in cfg.seeds] + ["mean", "std"]
@@ -367,6 +384,9 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path, log: _RunLog) -> None:
         "sweep command needs a 'sweep' section with non-empty 'windows' and 'dims'",
     )
     ds = _resolve_dataset(cfg)
+    _check_series_length(
+        cfg, ds, [f"fbnetgen-{cfg.train_cfg.encoder.kind}"], cfg.sweep_windows, "sweep.windows"
+    )
     rows = sweep(cfg.train_cfg, ds, cfg.sweep_windows, cfg.sweep_dims, seeds=cfg.seeds)
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = ["window,dim,auroc,accuracy"]

@@ -155,8 +155,8 @@ class SplitSpec:
 
     def ratios(self):
         r = (self.train, self.val, self.test)
-        if any(x < 0 for x in r) or abs(sum(r) - 1.0) > 1e-9:
-            raise ValueError(f"split ratios must be non-negative and sum to 1, got {r}")
+        if not all(np.isfinite(x) and x >= 0 for x in r) or abs(sum(r) - 1.0) > 1e-9:
+            raise ValueError(f"split ratios must be finite, non-negative and sum to 1, got {r}")
         return r
 
 

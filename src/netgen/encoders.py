@@ -29,8 +29,19 @@ class EncoderConfig:
         if self.dim < 1:
             raise ValueError(f"embedding dim must be positive, got {self.dim}")
 
+    def min_length(self) -> int:
+        """Shortest series the encoder accepts: one segment for the GRU, the
+        receptive field of the conv stack for the CNN."""
+        if self.kind == "gru":
+            return self.window
+        needed = 1
+        for _, kernel, stride in reversed(CnnEncoder.KERNELS):
+            k = self.window if kernel is None else kernel
+            needed = (needed - 1) * stride + k
+        return needed
 
-class CnnEncoder:
+
+class CnnEncoder(nn.Module):
     """Conv(1,32,tau,s2) -> Conv(32,32,8) -> Conv(32,16,8) -> global max pool
     -> Dense 32 -> ReLU -> Dense d, applied to every ROI row."""
 
@@ -51,11 +62,7 @@ class CnnEncoder:
 
     def min_length(self) -> int:
         """Smallest t admitted by the receptive field of the conv stack."""
-        needed = 1
-        for _, kernel, stride in reversed(self.KERNELS):
-            k = self.cfg.window if kernel is None else kernel
-            needed = (needed - 1) * stride + k
-        return needed
+        return self.cfg.min_length()
 
     def forward(self, x) -> nn.Tensor:
         x = nn.as_tensor(x)
@@ -72,20 +79,8 @@ class CnnEncoder:
 
     __call__ = forward
 
-    def named_params(self):
-        out = []
-        for prefix, layer in (
-            ("conv1", self.conv1),
-            ("conv2", self.conv2),
-            ("conv3", self.conv3),
-            ("fc1", self.fc1),
-            ("fc2", self.fc2),
-        ):
-            out.extend((f"{prefix}.{n}", p) for n, p in layer.params())
-        return out
 
-
-class GruEncoder:
+class GruEncoder(nn.Module):
     """4-layer bi-directional GRU over length-tau segments of each ROI row.
 
     The series is cut into z = floor(t / tau) consecutive segments (any
@@ -100,12 +95,10 @@ class GruEncoder:
         cfg.validate()
         self.cfg = cfg
         hid = cfg.window
-        self.cells = []
+        self.gru = []
         for layer in range(self.LAYERS):
             n_in = cfg.window if layer == 0 else 2 * hid
-            self.cells.append(
-                (nn.GruCell(n_in, hid, rng), nn.GruCell(n_in, hid, rng))
-            )
+            self.gru.append({"fwd": nn.GruCell(n_in, hid, rng), "bwd": nn.GruCell(n_in, hid, rng)})
         self.out = nn.Dense(2 * hid, cfg.dim, rng)
 
     @property
@@ -128,27 +121,15 @@ class GruEncoder:
             raise ValueError(f"gru encoder window {tau} exceeds series length {t}")
         h = x[:, :, : z * tau].reshape((b * v, z, tau))
         fwd_out = bwd_out = None
-        for fwd_cell, bwd_cell in self.cells:
-            fwd_out = nn.gru_direction(
-                h, fwd_cell.w_ih, fwd_cell.w_hh, fwd_cell.b_ih, fwd_cell.b_hh
-            )
-            bwd_out = nn.gru_direction(
-                h, bwd_cell.w_ih, bwd_cell.w_hh, bwd_cell.b_ih, bwd_cell.b_hh,
-                reverse=True,
-            )
+        for cells in self.gru:
+            fwd, bwd = cells["fwd"], cells["bwd"]
+            fwd_out = nn.gru_direction(h, fwd.w_ih, fwd.w_hh, fwd.b_ih, fwd.b_hh)
+            bwd_out = nn.gru_direction(h, bwd.w_ih, bwd.w_hh, bwd.b_ih, bwd.b_hh, reverse=True)
             h = nn.concat([fwd_out, bwd_out], axis=2)
         h_r = nn.concat([fwd_out[:, z - 1, :], bwd_out[:, 0, :]], axis=1)
         return self.out(h_r).reshape((b, v, self.cfg.dim))
 
     __call__ = forward
-
-    def named_params(self):
-        out = []
-        for layer, (fwd, bwd) in enumerate(self.cells):
-            out.extend((f"gru{layer}.fwd.{n}", p) for n, p in fwd.params())
-            out.extend((f"gru{layer}.bwd.{n}", p) for n, p in bwd.params())
-        out.extend((f"out.{n}", p) for n, p in self.out.params())
-        return out
 
 
 def build_encoder(cfg: EncoderConfig, rng: np.random.Generator):

@@ -1,35 +1,78 @@
-"""Parameterized layers with exact gradients.
+"""Parameterized layers with exact gradients, and the `Module` base they share.
 
-Layer set: dense, conv1d, relu, softmax over the last axis, global 1-D max
-pooling, batch norm, GRU cell. Initialization is fully seeded: dense/conv
-weights uniform in +-sqrt(6/(fan_in+fan_out)) with zero biases, GRU weights
-uniform in +-sqrt(1/hidden) with zero biases.
+Layer set: dense, conv1d, batch norm, GRU cell. Initialization is fully
+seeded: dense/conv weights uniform in +-sqrt(6/(fan_in+fan_out)) with zero
+biases, GRU weights uniform in +-sqrt(1/hidden) with zero biases.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .tensor import (
-    Param,
-    Tensor,
-    as_tensor,
-    conv1d,
-    gru_cell,
-    max_last,
-    relu,
-    softmax,
-)
+from .checkpoint import check_shapes
+from .tensor import Param, Tensor, as_tensor, conv1d, gru_cell
 
-__all__ = [
-    "Dense",
-    "Conv1d",
-    "ReLU",
-    "SoftmaxRows",
-    "MaxPool1dGlobal",
-    "BatchNorm1d",
-    "GruCell",
-    "layer_forward_backward",
-]
+__all__ = ["Module", "Dense", "Conv1d", "BatchNorm1d", "GruCell"]
+
+
+def _members(value, name: str):
+    """Yield (dotted name, member) for every Module, Param and ndarray
+    reachable from `value`, in attribute definition order.
+
+    A Module's attributes are named by attribute name under the module's
+    own name, list items by the list's name plus their index, dict items by
+    their key. Checkpoint keys are these names, so this rule is the
+    checkpoint naming format.
+    """
+    if isinstance(value, Module):
+        yield name, value
+        for key, child in vars(value).items():
+            yield from _members(child, f"{name}.{key}" if name else key)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _members(item, f"{name}{i}")
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield from _members(item, f"{name}.{key}")
+    elif isinstance(value, (Param, np.ndarray)):
+        yield name, value
+
+
+class Module:
+    """Anything that owns parameters: `Param` attributes are its parameters,
+    `ndarray` attributes its buffers (state saved but not trained)."""
+
+    training = True
+
+    def _named(self, kind) -> list:
+        return [(n, m) for n, m in _members(self, "") if isinstance(m, kind)]
+
+    def named_params(self) -> list:
+        return self._named(Param)
+
+    def named_buffers(self) -> list:
+        return self._named(np.ndarray)
+
+    def set_training(self, flag: bool) -> None:
+        """Train or eval mode for this module and every module inside it."""
+        for _, m in self._named(Module):
+            m.training = flag
+
+    def state(self) -> dict:
+        out = {f"param.{n}": p.data.copy() for n, p in self.named_params()}
+        out.update({f"buffer.{n}": np.array(b) for n, b in self.named_buffers()})
+        return out
+
+    def load_state(self, arrays: dict) -> None:
+        """Copy `arrays` (as produced by `state`) into this module; raises
+        CheckpointError unless names and shapes match exactly."""
+        params, buffers = self.named_params(), self.named_buffers()
+        expected = {f"param.{n}": p.data for n, p in params}
+        expected.update({f"buffer.{n}": b for n, b in buffers})
+        check_shapes(arrays, expected)
+        for name, p in params:
+            p.data = arrays[f"param.{name}"].astype(p.data.dtype)
+        for name, b in buffers:
+            b[...] = arrays[f"buffer.{name}"]
 
 
 def _glorot(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> np.ndarray:
@@ -37,7 +80,7 @@ def _glorot(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> np.nd
     return rng.uniform(-bound, bound, size=shape)
 
 
-class Dense:
+class Dense(Module):
     """Affine map x @ w + b on the last axis."""
 
     def __init__(self, n_in: int, n_out: int, rng: np.random.Generator):
@@ -47,11 +90,8 @@ class Dense:
     def __call__(self, x) -> Tensor:
         return as_tensor(x) @ self.w + self.b
 
-    def params(self):
-        return [("w", self.w), ("b", self.b)]
 
-
-class Conv1d:
+class Conv1d(Module):
     def __init__(self, c_in: int, c_out: int, kernel: int, stride: int, rng: np.random.Generator):
         self.stride = stride
         self.w = Param(_glorot(rng, (c_out, c_in, kernel), c_in * kernel, c_out * kernel))
@@ -60,39 +100,8 @@ class Conv1d:
     def __call__(self, x) -> Tensor:
         return conv1d(x, self.w, self.b, stride=self.stride)
 
-    def params(self):
-        return [("w", self.w), ("b", self.b)]
 
-
-class ReLU:
-    def __call__(self, x) -> Tensor:
-        return relu(x)
-
-    def params(self):
-        return []
-
-
-class SoftmaxRows:
-    """Row-stochastic softmax over the last axis."""
-
-    def __call__(self, x) -> Tensor:
-        return softmax(x)
-
-    def params(self):
-        return []
-
-
-class MaxPool1dGlobal:
-    """Collapses the temporal axis to the per-channel maximum."""
-
-    def __call__(self, x) -> Tensor:
-        return max_last(x)
-
-    def params(self):
-        return []
-
-
-class BatchNorm1d:
+class BatchNorm1d(Module):
     """Batch norm over axis 0 of a (batch, features) tensor.
 
     Training mode normalizes with batch statistics and updates running
@@ -107,7 +116,6 @@ class BatchNorm1d:
         self.beta = Param(np.zeros(num_features))
         self.running_mean = np.zeros(num_features)
         self.running_var = np.ones(num_features)
-        self.training = True
 
     def __call__(self, x) -> Tensor:
         x = as_tensor(x)
@@ -130,23 +138,12 @@ class BatchNorm1d:
         inv = 1.0 / np.sqrt(self.running_var + self.eps)
         return (x - Tensor(self.running_mean)) * Tensor(inv) * self.gamma + self.beta
 
-    def params(self):
-        return [("gamma", self.gamma), ("beta", self.beta)]
 
-    def buffers(self):
-        return [("running_mean", self.running_mean), ("running_var", self.running_var)]
-
-    def set_buffers(self, running_mean: np.ndarray, running_var: np.ndarray) -> None:
-        self.running_mean = np.array(running_mean, dtype=np.float64)
-        self.running_var = np.array(running_var, dtype=np.float64)
-
-
-class GruCell:
+class GruCell(Module):
     """Single GRU step; hidden state width `hidden`."""
 
     def __init__(self, n_in: int, hidden: int, rng: np.random.Generator):
         bound = np.sqrt(1.0 / hidden)
-        self.hidden = hidden
         self.w_ih = Param(rng.uniform(-bound, bound, size=(n_in, 3 * hidden)))
         self.w_hh = Param(rng.uniform(-bound, bound, size=(hidden, 3 * hidden)))
         self.b_ih = Param(np.zeros(3 * hidden))
@@ -154,35 +151,3 @@ class GruCell:
 
     def __call__(self, x, h) -> Tensor:
         return gru_cell(x, h, self.w_ih, self.w_hh, self.b_ih, self.b_hh)
-
-    def params(self):
-        return [
-            ("w_ih", self.w_ih),
-            ("w_hh", self.w_hh),
-            ("b_ih", self.b_ih),
-            ("b_hh", self.b_hh),
-        ]
-
-
-def layer_forward_backward(layer, inputs, upstream):
-    """Run one layer forward and backward in isolation.
-
-    `inputs` is an array or a tuple of arrays (the GRU cell takes (x, h)).
-    Returns (output, input gradient(s), {param name: gradient}).
-    """
-    single = not isinstance(inputs, (tuple, list))
-    arrays = (inputs,) if single else tuple(inputs)
-    for a in arrays:
-        if not np.all(np.isfinite(a)):
-            raise ValueError("layer input contains non-finite values")
-    tensors = [Tensor(a) for a in arrays]
-    out = layer(*tensors)
-    upstream = np.asarray(upstream, dtype=out.data.dtype)
-    if upstream.shape != out.data.shape:
-        raise ValueError(
-            f"upstream gradient shape {upstream.shape} does not match output {out.data.shape}"
-        )
-    out.backward(upstream)
-    input_grads = tensors[0].grad if single else tuple(t.grad for t in tensors)
-    param_grads = {name: p.grad for name, p in layer.params()}
-    return out.data, input_grads, param_grads

@@ -31,7 +31,6 @@ __all__ = [
     "tsum",
     "tmean",
     "relu",
-    "sigmoid",
     "tanh",
     "softmax",
     "log_softmax",
@@ -359,16 +358,6 @@ def relu(x) -> Tensor:
 
     def bw(g):
         return (g * mask,)
-
-    return Tensor(out, (x,), bw)
-
-
-def sigmoid(x) -> Tensor:
-    x = as_tensor(x)
-    out = 1.0 / (1.0 + np.exp(-x.data))
-
-    def bw(g):
-        return (g * out * (1.0 - out),)
 
     return Tensor(out, (x,), bw)
 

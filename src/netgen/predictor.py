@@ -27,6 +27,7 @@ __all__ = [
     "SequenceModel",
     "PIPELINES",
     "build_model",
+    "pipeline_encoder",
 ]
 
 
@@ -59,7 +60,19 @@ def build_pearson_graph(x: np.ndarray) -> np.ndarray:
     return pearson_features(x)
 
 
-class GcnPredictor:
+class _MlpHead(nn.Module):
+    """Batch norm and a 2-layer MLP over a flat (batch, width) input."""
+
+    def _build_head(self, width: int, cfg: GcnConfig, rng: np.random.Generator) -> None:
+        self.bn = nn.BatchNorm1d(width)
+        self.mlp1 = nn.Dense(width, cfg.mlp_hidden, rng)
+        self.mlp2 = nn.Dense(cfg.mlp_hidden, cfg.n_classes, rng)
+
+    def classify(self, flat: Tensor) -> Tensor:
+        return self.mlp2(nn.relu(self.mlp1(self.bn(flat))))
+
+
+class GcnPredictor(_MlpHead):
     """k-layer GCN, pooling, batch norm, MLP head."""
 
     def __init__(self, cfg: GcnConfig, v: int, in_features: int, rng: np.random.Generator):
@@ -67,16 +80,14 @@ class GcnPredictor:
         self.cfg = cfg
         self.v = v
         dims = (in_features,) + cfg.widths
-        self.layers = [nn.Dense(dims[i], dims[i + 1], rng) for i in range(len(cfg.widths))]
+        self.gcn = [nn.Dense(dims[i], dims[i + 1], rng) for i in range(len(cfg.widths))]
         pooled = v * cfg.widths[-1] if cfg.pooling == "concat" else cfg.widths[-1]
-        self.bn = nn.BatchNorm1d(pooled)
-        self.mlp1 = nn.Dense(pooled, cfg.mlp_hidden, rng)
-        self.mlp2 = nn.Dense(cfg.mlp_hidden, cfg.n_classes, rng)
+        self._build_head(pooled, cfg, rng)
 
     def node_embeddings(self, adjacency, features) -> Tensor:
         a = nn.as_tensor(adjacency)
         h = nn.as_tensor(features)
-        for layer in self.layers:
+        for layer in self.gcn:
             h = nn.relu(layer(a @ h))
         return h
 
@@ -86,61 +97,15 @@ class GcnPredictor:
             pooled = node_emb.reshape((b, v * width))
         else:
             pooled = node_emb.sum(axis=1)
-        hidden = nn.relu(self.mlp1(self.bn(pooled)))
-        return self.mlp2(hidden)
+        return self.classify(pooled)
 
     def forward(self, adjacency, features) -> Tensor:
         return self.pool_and_classify(self.node_embeddings(adjacency, features))
 
     __call__ = forward
 
-    def named_params(self):
-        out = []
-        for i, layer in enumerate(self.layers):
-            out.extend((f"gcn{i}.{n}", p) for n, p in layer.params())
-        out.extend((f"bn.{n}", p) for n, p in self.bn.params())
-        out.extend((f"mlp1.{n}", p) for n, p in self.mlp1.params())
-        out.extend((f"mlp2.{n}", p) for n, p in self.mlp2.params())
-        return out
 
-    def named_buffers(self):
-        return [(f"bn.{n}", b) for n, b in self.bn.buffers()]
-
-
-class _ModelBase:
-    pipeline: str
-
-    def set_training(self, flag: bool) -> None:
-        for bn in self._batch_norms():
-            bn.training = flag
-
-    def _batch_norms(self):
-        return []
-
-    def named_params(self):
-        raise NotImplementedError
-
-    def named_buffers(self):
-        return []
-
-    def state(self) -> dict:
-        out = {f"param.{n}": p.data.copy() for n, p in self.named_params()}
-        out.update({f"buffer.{n}": np.array(b) for n, b in self.named_buffers()})
-        return out
-
-    def load_state(self, arrays: dict) -> None:
-        expected = {f"param.{n}": p.data for n, p in self.named_params()}
-        expected.update({f"buffer.{n}": b for n, b in self.named_buffers()})
-        nn.check_shapes(arrays, expected)
-        for name, p in self.named_params():
-            p.data = arrays[f"param.{name}"].astype(p.data.dtype)
-        self._load_buffers({n: arrays[f"buffer.{n}"] for n, _ in self.named_buffers()})
-
-    def _load_buffers(self, buffers: dict) -> None:
-        pass
-
-
-class LearnableGraphModel(_ModelBase):
+class LearnableGraphModel(nn.Module):
     """Encoder -> graph generator -> GCN -> head; the full pipeline."""
 
     def __init__(self, encoder_cfg: EncoderConfig, gcn_cfg: GcnConfig, v: int, rng):
@@ -160,22 +125,8 @@ class LearnableGraphModel(_ModelBase):
     def graphs(self, x) -> Tensor:
         return generate_graph(self.encoder(x))
 
-    def named_params(self):
-        out = [(f"encoder.{n}", p) for n, p in self.encoder.named_params()]
-        out.extend((f"gcn.{n}", p) for n, p in self.gcn.named_params())
-        return out
 
-    def named_buffers(self):
-        return [(f"gcn.{n}", b) for n, b in self.gcn.named_buffers()]
-
-    def _batch_norms(self):
-        return [self.gcn.bn]
-
-    def _load_buffers(self, buffers):
-        self.gcn.bn.set_buffers(buffers["gcn.bn.running_mean"], buffers["gcn.bn.running_var"])
-
-
-class FixedGraphModel(_ModelBase):
+class FixedGraphModel(nn.Module):
     """GCN over a fixed adjacency: all-ones or the raw Pearson matrix."""
 
     def __init__(self, graph_kind: str, gcn_cfg: GcnConfig, v: int, rng):
@@ -197,20 +148,8 @@ class FixedGraphModel(_ModelBase):
             adjacency = Tensor(feats.data)
         return self.gcn(adjacency, feats), None
 
-    def named_params(self):
-        return [(f"gcn.{n}", p) for n, p in self.gcn.named_params()]
 
-    def named_buffers(self):
-        return [(f"gcn.{n}", b) for n, b in self.gcn.named_buffers()]
-
-    def _batch_norms(self):
-        return [self.gcn.bn]
-
-    def _load_buffers(self, buffers):
-        self.gcn.bn.set_buffers(buffers["gcn.bn.running_mean"], buffers["gcn.bn.running_var"])
-
-
-class SequenceModel(_ModelBase):
+class SequenceModel(_MlpHead):
     """Encoder embeddings concatenated straight into the MLP head; no graph."""
 
     def __init__(self, encoder_cfg: EncoderConfig, gcn_cfg: GcnConfig, v: int, rng):
@@ -219,33 +158,12 @@ class SequenceModel(_ModelBase):
         self.v = v
         self.pipeline = f"seq-{encoder_cfg.kind}"
         self.encoder = build_encoder(encoder_cfg, rng)
-        flat = v * encoder_cfg.dim
-        self.bn = nn.BatchNorm1d(flat)
-        self.mlp1 = nn.Dense(flat, gcn_cfg.mlp_hidden, rng)
-        self.mlp2 = nn.Dense(gcn_cfg.mlp_hidden, gcn_cfg.n_classes, rng)
+        self._build_head(v * encoder_cfg.dim, gcn_cfg, rng)
 
     def forward(self, x, features=None):
         h_e = self.encoder(x)
         b, v, d = h_e.shape
-        flat = h_e.reshape((b, v * d))
-        hidden = nn.relu(self.mlp1(self.bn(flat)))
-        return self.mlp2(hidden), None
-
-    def named_params(self):
-        out = [(f"encoder.{n}", p) for n, p in self.encoder.named_params()]
-        out.extend((f"bn.{n}", p) for n, p in self.bn.params())
-        out.extend((f"mlp1.{n}", p) for n, p in self.mlp1.params())
-        out.extend((f"mlp2.{n}", p) for n, p in self.mlp2.params())
-        return out
-
-    def named_buffers(self):
-        return [(f"bn.{n}", b) for n, b in self.bn.buffers()]
-
-    def _batch_norms(self):
-        return [self.bn]
-
-    def _load_buffers(self, buffers):
-        self.bn.set_buffers(buffers["bn.running_mean"], buffers["bn.running_var"])
+        return self.classify(h_e.reshape((b, v * d))), None
 
 
 PIPELINES = (
@@ -263,9 +181,17 @@ def build_model(pipeline: str, encoder_cfg: EncoderConfig, gcn_cfg: GcnConfig, v
     if pipeline not in PIPELINES:
         raise ValueError(f"unknown pipeline {pipeline!r}; choose one of {PIPELINES}")
     rng = np.random.default_rng(seed)
-    if pipeline.startswith("fbnetgen-") or pipeline.startswith("seq-"):
-        kind = pipeline.split("-", 1)[1]
-        cfg = EncoderConfig(kind=kind, window=encoder_cfg.window, dim=encoder_cfg.dim)
-        cls = LearnableGraphModel if pipeline.startswith("fbnetgen-") else SequenceModel
-        return cls(cfg, gcn_cfg, v, rng)
-    return FixedGraphModel(pipeline.split("-", 1)[1], gcn_cfg, v, rng)
+    cfg = pipeline_encoder(pipeline, encoder_cfg)
+    if cfg is None:
+        return FixedGraphModel(pipeline.split("-", 1)[1], gcn_cfg, v, rng)
+    cls = LearnableGraphModel if pipeline.startswith("fbnetgen-") else SequenceModel
+    return cls(cfg, gcn_cfg, v, rng)
+
+
+def pipeline_encoder(pipeline: str, encoder_cfg: EncoderConfig):
+    """The encoder a pipeline runs, or None for the fixed-graph pipelines:
+    its kind comes from the pipeline name, window and dim from `encoder_cfg`."""
+    family, kind = pipeline.split("-", 1)
+    if family == "gnn":
+        return None
+    return EncoderConfig(kind=kind, window=encoder_cfg.window, dim=encoder_cfg.dim)

@@ -81,10 +81,10 @@ class TrainConfig:
         self.encoder.validate()
         self.predictor.validate()
         self.loss.validate()
-        if self.lr <= 0 or self.batch_size <= 0 or self.epochs <= 0:
-            raise ValueError("lr, batch_size and epochs must all be positive")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be non-negative")
+        if not (np.isfinite(self.lr) and self.lr > 0) or self.batch_size <= 0 or self.epochs <= 0:
+            raise ValueError("lr must be finite and positive, batch_size and epochs positive")
+        if not (np.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValueError("weight_decay must be finite and non-negative")
         self.split.ratios()
 
 

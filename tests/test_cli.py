@@ -135,11 +135,35 @@ class TestConfigValidation:
         cfg = write_config(tmp_path, raw)
         assert main(["train", "--config", cfg]) == 2
 
-    def test_negative_lr_exits_2(self, tmp_path):
+    @pytest.mark.parametrize("lr", [-1.0, float("nan")])
+    def test_negative_lr_exits_2(self, tmp_path, lr):
         raw = base_config(tmp_path)
-        raw["train"]["lr"] = -1.0
+        raw["train"]["lr"] = lr
         cfg = write_config(tmp_path, raw)
         assert main(["train", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize(
+        "command,encoder,extra,key",
+        [
+            ("train", {"kind": "cnn", "window": 16}, {}, "encoder.window 16"),
+            ("train", {"kind": "gru", "window": 48}, {}, "encoder.window 48"),
+            ("compare", {"kind": "gru", "window": 16}, {}, "encoder.window 16"),
+            ("sweep", {"kind": "gru", "window": 8}, {"sweep": {"windows": [8, 48], "dims": [4]}},
+             "sweep.windows 48"),
+        ],
+        ids=["train-cnn", "train-gru", "compare", "sweep"],
+    )
+    def test_window_longer_than_series_exits_2(
+        self, tmp_path, capsys, command, encoder, extra, key
+    ):
+        raw = base_config(tmp_path, encoder={**encoder, "dim": 4}, **extra)
+        raw["dataset"]["synth"]["t"] = 40
+        cfg = write_config(tmp_path, raw)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert key in err and "t=40" in err
 
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -22,7 +22,9 @@ class TestLayerGradients:
         rng = np.random.default_rng(seed)
         layer = nn.Dense(3, 4, rng)
         x = rng.standard_normal((5, 3))
-        err = nn.gradient_check(lambda: square_loss(layer(Tensor(x))), layer.params(), seed=seed)
+        err = nn.gradient_check(
+            lambda: square_loss(layer(Tensor(x))), layer.named_params(), seed=seed
+        )
         assert err < 1e-4
 
     @pytest.mark.parametrize("seed", SEEDS)
@@ -30,7 +32,9 @@ class TestLayerGradients:
         rng = np.random.default_rng(seed)
         layer = nn.Conv1d(2, 3, 4, 2, rng)
         x = rng.standard_normal((2, 2, 11))
-        err = nn.gradient_check(lambda: square_loss(layer(Tensor(x))), layer.params(), seed=seed)
+        err = nn.gradient_check(
+            lambda: square_loss(layer(Tensor(x))), layer.named_params(), seed=seed
+        )
         assert err < 1e-4
 
     @pytest.mark.parametrize("seed", SEEDS)
@@ -64,7 +68,7 @@ class TestLayerGradients:
         x = rng.standard_normal((6, 3))
         target = Tensor(rng.standard_normal((6, 3)))
         err = nn.gradient_check(
-            lambda: square_loss(layer(Tensor(x)) - target), layer.params(), seed=seed
+            lambda: square_loss(layer(Tensor(x)) - target), layer.named_params(), seed=seed
         )
         assert err < 1e-4
 
@@ -75,7 +79,7 @@ class TestLayerGradients:
         x = rng.standard_normal((5, 3))
         h = rng.standard_normal((5, 4))
         err = nn.gradient_check(
-            lambda: square_loss(cell(Tensor(x), Tensor(h))), cell.params(), seed=seed
+            lambda: square_loss(cell(Tensor(x), Tensor(h))), cell.named_params(), seed=seed
         )
         assert err < 1e-4
 
@@ -85,7 +89,7 @@ class TestLayerGradients:
         rng = np.random.default_rng(seed)
         cell = nn.GruCell(3, 4, rng)
         x = Param(rng.standard_normal((2, 5, 3)))
-        params = cell.params() + [("x", x)]
+        params = cell.named_params() + [("x", x)]
         err = nn.gradient_check(
             lambda: square_loss(
                 nn.gru_direction(x, cell.w_ih, cell.w_hh, cell.b_ih, cell.b_hh, reverse=reverse)
@@ -110,9 +114,11 @@ def test_gru_direction_matches_stepwise_cell():
 
 
 def test_relu_forward_and_mask():
-    out, dx, _ = nn.layer_forward_backward(nn.ReLU(), np.array([[-1.0, 2.0]]), np.ones((1, 2)))
-    assert np.array_equal(out, [[0.0, 2.0]])
-    assert np.array_equal(dx, [[0.0, 1.0]])
+    x = Tensor(np.array([[-1.0, 2.0]]))
+    out = nn.relu(x)
+    out.backward(np.ones((1, 2)))
+    assert np.array_equal(out.data, [[0.0, 2.0]])
+    assert np.array_equal(x.grad, [[0.0, 1.0]])
 
 
 def test_dense_identity_weights_passes_input_through():
@@ -123,22 +129,6 @@ def test_dense_identity_weights_passes_input_through():
     x = rng.standard_normal((4, 3))
     out = layer(Tensor(x))
     assert np.allclose(out.data, x)
-
-
-def test_layer_forward_backward_rejects_non_finite_input():
-    with pytest.raises(ValueError, match="non-finite"):
-        nn.layer_forward_backward(nn.ReLU(), np.array([[np.nan, 1.0]]), np.ones((1, 2)))
-
-
-def test_layer_forward_backward_gru_cell_two_inputs():
-    rng = np.random.default_rng(0)
-    cell = nn.GruCell(2, 3, rng)
-    x = rng.standard_normal((4, 2))
-    h = rng.standard_normal((4, 3))
-    out, (dx, dh), pgrads = nn.layer_forward_backward(cell, (x, h), np.ones((4, 3)))
-    assert out.shape == (4, 3)
-    assert dx.shape == (4, 2) and dh.shape == (4, 3)
-    assert set(pgrads) == {"w_ih", "w_hh", "b_ih", "b_hh"}
 
 
 def test_dense_shape_mismatch_raises():
@@ -250,7 +240,7 @@ class TestGradientCheck:
         x = rng.standard_normal((4, 10))
         err = nn.gradient_check(
             lambda: square_loss(layer(Tensor(x))),
-            layer.params(),
+            layer.named_params(),
             seed=0,
             max_coords_per_param=5,
         )

@@ -16,6 +16,35 @@ from netgen.predictor import (
 )
 
 
+def _head_keys(prefix):
+    return (
+        [f"param.{prefix}bn.gamma", f"param.{prefix}bn.beta"]
+        + [f"param.{prefix}mlp{i}.{p}" for i in (1, 2) for p in "wb"]
+        + [f"buffer.{prefix}bn.running_mean", f"buffer.{prefix}bn.running_var"]
+    )
+
+
+CNN_KEYS = [
+    f"param.encoder.{n}.{p}" for n in ("conv1", "conv2", "conv3", "fc1", "fc2") for p in "wb"
+]
+GRU_KEYS = [
+    f"param.encoder.gru{i}.{d}.{p}"
+    for i in range(4)
+    for d in ("fwd", "bwd")
+    for p in ("w_ih", "w_hh", "b_ih", "b_hh")
+] + ["param.encoder.out.w", "param.encoder.out.b"]
+GCN_KEYS = [f"param.gcn.gcn{i}.{p}" for i in range(2) for p in "wb"] + _head_keys("gcn.")
+# checkpoint keys in state() order (parameters, then buffers) for a two-layer GCN
+STATE_KEYS = {
+    "fbnetgen-cnn": CNN_KEYS + GCN_KEYS,
+    "fbnetgen-gru": GRU_KEYS + GCN_KEYS,
+    "gnn-uniform": GCN_KEYS,
+    "gnn-pearson": GCN_KEYS,
+    "seq-cnn": CNN_KEYS + _head_keys(""),
+    "seq-gru": GRU_KEYS + _head_keys(""),
+}
+
+
 def make_gcn(widths=(32, 32, 8), pooling="concat", v=4, seed=0):
     cfg = GcnConfig(widths=widths, pooling=pooling)
     return GcnPredictor(cfg, v=v, in_features=v, rng=np.random.default_rng(seed))
@@ -24,8 +53,8 @@ def make_gcn(widths=(32, 32, 8), pooling="concat", v=4, seed=0):
 class TestGcnForward:
     def test_identity_adjacency_identity_weights_is_relu_of_features(self):
         gcn = make_gcn(widths=(4,), v=4)
-        gcn.layers[0].w.data = np.eye(4)
-        gcn.layers[0].b.data = np.zeros(4)
+        gcn.gcn[0].w.data = np.eye(4)
+        gcn.gcn[0].b.data = np.zeros(4)
         f = np.random.default_rng(0).standard_normal((1, 4, 4))
         out = gcn.node_embeddings(Tensor(np.eye(4)[None]), Tensor(f))
         assert np.allclose(out.data, np.maximum(f, 0.0), atol=1e-15)
@@ -43,7 +72,7 @@ class TestGcnForward:
         out = gcn.node_embeddings(Tensor(np.zeros((2, 4, 4))), f)
         assert np.all(out.data == 0.0)
         out.sum().backward()
-        for i, layer in enumerate(gcn.layers):
+        for i, layer in enumerate(gcn.gcn):
             assert np.all(layer.w.grad == 0.0), f"layer {i} weight gradient not zero"
 
     def test_gradient_check_three_layers(self):
@@ -170,20 +199,31 @@ class TestModels:
         with pytest.raises(ValueError, match="unknown pipeline"):
             build_model("gnn-magic", EncoderConfig(), GcnConfig(), v=4, seed=0)
 
-    def test_state_round_trip(self):
-        enc = EncoderConfig(kind="cnn", window=4, dim=4)
-        model = build_model("fbnetgen-cnn", enc, GcnConfig(widths=(4, 4), mlp_hidden=4), v=4, seed=1)
-        state = model.state()
-        other = build_model("fbnetgen-cnn", enc, GcnConfig(widths=(4, 4), mlp_hidden=4), v=4, seed=2)
-        other.load_state(state)
+    @pytest.mark.parametrize("pipeline", PIPELINES)
+    def test_state_round_trip(self, pipeline):
+        enc = EncoderConfig(kind="gru", window=4, dim=4)
+        gcn = GcnConfig(widths=(4, 4), mlp_hidden=4)
+        model = build_model(pipeline, enc, gcn, v=4, seed=1)
+        other = build_model(pipeline, enc, gcn, v=4, seed=2)
         rng = np.random.default_rng(2)
-        x = rng.standard_normal((2, 4, 40))
+        x = rng.standard_normal((3, 4, 40))
         feats = np.stack([pearson_features(xi) for xi in x])
+        model.forward(Tensor(x), Tensor(feats))  # moves the batch-norm running stats
+        state = model.state()
+        assert list(state) == STATE_KEYS[pipeline]
+
         model.set_training(False)
         other.set_training(False)
+        assert not (model.gcn.bn if hasattr(model, "gcn") else model.bn).training
         a, _ = model.forward(Tensor(x), Tensor(feats))
+        before, _ = other.forward(Tensor(x), Tensor(feats))
+        assert not np.array_equal(a.data, before.data)
+        other.load_state(state)
         b, _ = other.forward(Tensor(x), Tensor(feats))
         assert np.array_equal(a.data, b.data)
+        # a train-mode batch norm rejects a batch of one
+        single, _ = other.forward(Tensor(x[:1]), Tensor(feats[:1]))
+        assert np.allclose(single.data, b.data[:1], rtol=0, atol=1e-12)
 
     def test_load_state_rejects_wrong_shapes(self):
         enc = EncoderConfig(kind="gru", window=4, dim=4)
