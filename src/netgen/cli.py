@@ -13,8 +13,9 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
+from typing import get_type_hints
 
 from .dataset import (
     Dataset,
@@ -37,6 +38,7 @@ from .interpret import (
 )
 from .predictor import GcnConfig, PIPELINES, pipeline_encoder
 from .training import (
+    Metrics,
     TrainConfig,
     ablate,
     compare,
@@ -54,6 +56,20 @@ class ConfigError(Exception):
     """Invalid experiment configuration; maps to exit code 2."""
 
 
+# The `sweep` and `interpret` sections; ExperimentConfig carries their
+# fields as sweep_* and interpret_*.
+@dataclass
+class _SweepGrid:
+    windows: list = field(default_factory=list)
+    dims: list = field(default_factory=list)
+
+
+@dataclass
+class _Interpret:
+    alpha: float = 0.05
+    split: str = "all"
+
+
 @dataclass
 class ExperimentConfig:
     dataset_path: str | None
@@ -63,44 +79,66 @@ class ExperimentConfig:
     pipeline: str | None
     seeds: list
     out_dir: str
-    sweep_windows: list = field(default_factory=list)
-    sweep_dims: list = field(default_factory=list)
-    interpret_alpha: float = 0.05
-    interpret_split: str = "all"
+    sweep_windows: list
+    sweep_dims: list
+    interpret_alpha: float
+    interpret_split: str
     raw: dict = field(default_factory=dict)
 
+
+_TOP_LEVEL = ("dataset", "encoder", "predictor", "loss", "train", "pipeline", "seeds",
+              "out_dir", "sweep", "interpret")
+
+# Dataclass fields the program sets itself; a config naming one is rejected
+# like any other unknown key.
+_NOT_KEYS = {TrainConfig: ("seed",), SplitSpec: ("seed",), GcnConfig: ("n_classes",)}
 
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ConfigError(message)
 
 
-def _check_keys(section: dict, allowed, where: str) -> None:
-    unknown = sorted(set(section) - set(allowed))
+def _object(raw, keys, where: str) -> dict:
+    _require(isinstance(raw, dict), f"'{where}' must be a JSON object")
+    unknown = sorted(set(raw) - set(keys))
     _require(not unknown, f"unknown keys {unknown} in '{where}' section")
+    return raw
+
+
+def _convert(kind, value, key: str):
+    """`value` as a `kind`; tuple items and dict values are ints
+    (`GcnConfig.widths`, `SynthSpec.modules`)."""
+    try:
+        if kind is tuple:
+            return tuple(int(x) for x in value)
+        if kind is dict:
+            return {str(k): int(x) for k, x in value.items()}
+        return kind(value)
+    except (AttributeError, OverflowError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
+def _section(cls, raw, where: str, **given):
+    """Build dataclass `cls` from the JSON object `raw` (section `where`)
+    plus the fields already built in `given`.
+
+    The keys are the fields of `cls` that are neither `given` nor in
+    `_NOT_KEYS`. An omitted key takes the field's default, a dataclass-typed
+    field is read as a nested section, and any other value is converted to
+    its field's type; a value that does not convert raises ConfigError
+    naming its dotted key.
+    """
+    types = get_type_hints(cls)
+    keys = set(types) - set(given) - set(_NOT_KEYS.get(cls, ()))
+    for key, value in _object(raw, keys, where).items():
+        kind, name = types[key], f"{where}.{key}"
+        given[key] = _section(kind, value, name) if is_dataclass(kind) else _convert(kind, value, name)
+    return cls(**given)
 
 
 def _parse_config(raw: dict, path: str) -> ExperimentConfig:
-    _require(isinstance(raw, dict), f"{path}: top level must be a JSON object")
-    _check_keys(
-        raw,
-        {
-            "dataset",
-            "encoder",
-            "predictor",
-            "loss",
-            "train",
-            "pipeline",
-            "seeds",
-            "out_dir",
-            "sweep",
-            "interpret",
-        },
-        "top level",
-    )
-    dataset = raw.get("dataset")
-    _require(isinstance(dataset, dict), "config needs a 'dataset' section")
-    _check_keys(dataset, {"path", "synth"}, "dataset")
+    _object(raw, _TOP_LEVEL, path)
+    dataset = _object(raw.get("dataset"), ("path", "synth"), "dataset")
     dataset_path = dataset.get("path")
     synth_raw = dataset.get("synth")
     _require(
@@ -110,76 +148,36 @@ def _parse_config(raw: dict, path: str) -> ExperimentConfig:
     synth = None
     synth_seed = 0
     if synth_raw is not None:
-        _check_keys(
-            synth_raw,
-            {"v", "t", "n", "modules", "planted", "effect", "noise", "seed"},
-            "dataset.synth",
+        _require(isinstance(synth_raw, dict), "'dataset.synth' must be a JSON object")
+        synth_seed = _convert(int, synth_raw.get("seed", synth_seed), "dataset.synth.seed")
+        synth = _section(
+            SynthSpec, {k: v for k, v in synth_raw.items() if k != "seed"}, "dataset.synth"
         )
-        synth_seed = int(synth_raw.get("seed", 0))
-        try:
-            synth = SynthSpec(
-                v=int(synth_raw.get("v", 20)),
-                t=int(synth_raw.get("t", 64)),
-                n=int(synth_raw.get("n", 400)),
-                modules={str(k): int(s) for k, s in synth_raw.get("modules", SynthSpec().modules).items()},
-                planted=str(synth_raw.get("planted", "m1")),
-                effect=float(synth_raw.get("effect", 2.0)),
-                noise=float(synth_raw.get("noise", 1.0)),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"dataset.synth: {exc}") from exc
 
-    enc_raw = raw.get("encoder", {})
-    _check_keys(enc_raw, {"kind", "window", "dim"}, "encoder")
-    encoder = EncoderConfig(
-        kind=str(enc_raw.get("kind", "gru")),
-        window=int(enc_raw.get("window", 16)),
-        dim=int(enc_raw.get("dim", 8)),
-    )
-
-    pred_raw = raw.get("predictor", {})
-    _check_keys(pred_raw, {"pooling", "widths", "mlp_hidden"}, "predictor")
-    predictor = GcnConfig(
-        widths=tuple(pred_raw.get("widths", (32, 32, 8))),
-        pooling=str(pred_raw.get("pooling", "concat")),
-        mlp_hidden=int(pred_raw.get("mlp_hidden", 32)),
-    )
-
-    loss_raw = raw.get("loss", {})
-    _check_keys(loss_raw, {"alpha", "beta", "gamma"}, "loss")
-    loss = LossWeights(
-        alpha=float(loss_raw.get("alpha", 1e-3)),
-        beta=float(loss_raw.get("beta", 1e-3)),
-        gamma=float(loss_raw.get("gamma", 1e-4)),
-    )
-
-    train_raw = raw.get("train", {})
-    _check_keys(
-        train_raw,
-        {"lr", "weight_decay", "batch_size", "epochs", "split"},
+    train_cfg = _section(
+        TrainConfig,
+        raw.get("train", {}),
         "train",
+        encoder=_section(EncoderConfig, raw.get("encoder", {}), "encoder"),
+        predictor=_section(GcnConfig, raw.get("predictor", {}), "predictor"),
+        loss=_section(LossWeights, raw.get("loss", {}), "loss"),
     )
-    split_raw = train_raw.get("split", {})
-    _check_keys(split_raw, {"train", "val", "test"}, "train.split")
-    split_spec = SplitSpec(
-        train=float(split_raw.get("train", 0.7)),
-        val=float(split_raw.get("val", 0.1)),
-        test=float(split_raw.get("test", 0.2)),
-    )
-    train_cfg = TrainConfig(
-        encoder=encoder,
-        predictor=predictor,
-        loss=loss,
-        lr=float(train_raw.get("lr", 1e-4)),
-        weight_decay=float(train_raw.get("weight_decay", 1e-4)),
-        batch_size=int(train_raw.get("batch_size", 16)),
-        epochs=int(train_raw.get("epochs", 500)),
-        split=split_spec,
-    )
+    grid = _section(_SweepGrid, raw.get("sweep", {}), "sweep")
+    interpret = _section(_Interpret, raw.get("interpret", {}), "interpret")
     try:
         train_cfg.validate()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    for window in grid.windows:
+        for dim in grid.dims:
+            try:
+                replace(train_cfg.encoder, window=window, dim=dim).validate()
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"sweep.windows {window}, sweep.dims {dim}: {exc}") from exc
+    _require(
+        interpret.split in ("all", "train", "val", "test"),
+        "interpret.split must be one of all/train/val/test",
+    )
 
     pipeline = raw.get("pipeline")
     if pipeline is not None:
@@ -191,16 +189,6 @@ def _parse_config(raw: dict, path: str) -> ExperimentConfig:
         "'seeds' must be a non-empty list of integers",
     )
 
-    sweep_raw = raw.get("sweep", {})
-    _check_keys(sweep_raw, {"windows", "dims"}, "sweep")
-    interp_raw = raw.get("interpret", {})
-    _check_keys(interp_raw, {"alpha", "split"}, "interpret")
-    interp_split = str(interp_raw.get("split", "all"))
-    _require(
-        interp_split in ("all", "train", "val", "test"),
-        "interpret.split must be one of all/train/val/test",
-    )
-
     return ExperimentConfig(
         dataset_path=dataset_path,
         synth=synth,
@@ -209,10 +197,10 @@ def _parse_config(raw: dict, path: str) -> ExperimentConfig:
         pipeline=pipeline,
         seeds=list(seeds),
         out_dir=str(raw.get("out_dir", "runs/out")),
-        sweep_windows=list(sweep_raw.get("windows", [])),
-        sweep_dims=list(sweep_raw.get("dims", [])),
-        interpret_alpha=float(interp_raw.get("alpha", 0.05)),
-        interpret_split=interp_split,
+        sweep_windows=grid.windows,
+        sweep_dims=grid.dims,
+        interpret_alpha=interpret.alpha,
+        interpret_split=interpret.split,
         raw=raw,
     )
 
@@ -278,17 +266,6 @@ def _write_run_json(out: Path, cfg: ExperimentConfig, command: str, artifacts, e
     (out / "run.json").write_text(json.dumps(doc, indent=1, sort_keys=True))
 
 
-def _metrics_row(m) -> dict:
-    return {
-        "auroc": m.auroc,
-        "accuracy": m.accuracy,
-        "ce": m.ce,
-        "intra": m.intra,
-        "inter": m.inter,
-        "sparsity": m.sparsity,
-    }
-
-
 def cmd_synth(cfg: ExperimentConfig, out_dir: Path, log: _RunLog) -> None:
     _require(cfg.synth is not None, "synth command needs a dataset.synth section")
     ds = _resolve_dataset(cfg)
@@ -310,20 +287,17 @@ def cmd_train(cfg: ExperimentConfig, out_dir: Path, log: _RunLog) -> None:
 
     out_dir.mkdir(parents=True, exist_ok=True)
     save_model(tm, out_dir / "checkpoint.json")
-    header = ["epoch"]
-    for side in ("train", "val"):
-        header += [f"{side}_{k}" for k in ("auroc", "accuracy", "ce", "intra", "inter", "sparsity")]
+    names = [f.name for f in fields(Metrics)]
+    header = ["epoch"] + [f"{side}_{k}" for side in ("train", "val") for k in names]
     rows = [",".join(header)]
     for epoch, (mt, mv) in enumerate(zip(history.train, history.val)):
-        cells = [str(epoch)]
-        for m in (mt, mv):
-            cells += [repr(x) for x in (m.auroc, m.accuracy, m.ce, m.intra, m.inter, m.sparsity)]
-        rows.append(",".join(cells))
+        cells = [repr(x) for m in (mt, mv) for x in m.as_dict().values()]
+        rows.append(",".join([str(epoch)] + cells))
     (out_dir / "history.csv").write_text("\n".join(rows) + "\n")
     metrics_doc = {
         "selected_epoch": history.selected_epoch,
-        "val_at_selected": _metrics_row(history.val[history.selected_epoch]),
-        "test": _metrics_row(test_metrics),
+        "val_at_selected": history.val[history.selected_epoch].as_dict(),
+        "test": test_metrics.as_dict(),
         "pipeline": tm.pipeline,
         "seed": seed,
     }

@@ -34,12 +34,15 @@ def _pack(arr: np.ndarray) -> dict:
     }
 
 
-def _unpack(entry: dict) -> np.ndarray:
-    if entry.get("dtype") != "<f8":
-        raise CheckpointError(f"unsupported array dtype {entry.get('dtype')!r}")
-    raw = base64.b64decode(entry["data"])
-    arr = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-    return arr.reshape(entry["shape"])
+def _unpack(path, name: str, entry: dict) -> np.ndarray:
+    try:
+        if entry["dtype"] != "<f8":
+            raise ValueError(f"unsupported array dtype {entry['dtype']!r}")
+        raw = base64.b64decode(entry["data"])
+        arr = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+        return arr.reshape(entry["shape"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"checkpoint {path}: array '{name}' is corrupt ({exc!r})") from exc
 
 
 def save_checkpoint(path, meta: dict, arrays: dict) -> None:
@@ -52,17 +55,23 @@ def save_checkpoint(path, meta: dict, arrays: dict) -> None:
 
 
 def load_checkpoint(path):
-    """Returns (meta, {name: ndarray})."""
+    """Returns (meta, {name: ndarray}); any malformed part raises
+    CheckpointError naming the file and the key or array at fault."""
     try:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise CheckpointError(f"checkpoint {path} is not a JSON object")
     if doc.get("format_version") != FORMAT_VERSION:
         raise CheckpointError(
             f"checkpoint {path} has format_version {doc.get('format_version')}, "
             f"expected {FORMAT_VERSION}"
         )
-    arrays = {name: _unpack(entry) for name, entry in doc["arrays"].items()}
+    for key in ("meta", "arrays"):
+        if not isinstance(doc.get(key), dict):
+            raise CheckpointError(f"checkpoint {path} has no '{key}' object")
+    arrays = {name: _unpack(path, name, entry) for name, entry in doc["arrays"].items()}
     return doc["meta"], arrays
 
 

@@ -38,9 +38,6 @@ class GcnConfig:
     mlp_hidden: int = 32
     n_classes: int = 2
 
-    def __post_init__(self):
-        self.widths = tuple(int(w) for w in self.widths)
-
     def validate(self) -> None:
         if self.pooling not in ("concat", "sum"):
             raise ValueError(f"pooling must be 'concat' or 'sum', got {self.pooling!r}")

@@ -351,25 +351,35 @@ def save_model(tm: TrainedModel, path) -> None:
 
 
 def load_model(path) -> TrainedModel:
+    """Rebuild a saved model; a checkpoint whose meta or arrays do not fit
+    raises CheckpointError naming the file and the key at fault."""
     meta, arrays = nn.load_checkpoint(path)
-    encoder_cfg = EncoderConfig(**meta["encoder"])
-    pred = dict(meta["predictor"])
-    pred["widths"] = tuple(pred["widths"])
-    gcn_cfg = GcnConfig(**pred)
-    shape = meta["shape"]
-    model = build_model(meta["pipeline"], encoder_cfg, gcn_cfg, v=int(shape["v"]), seed=0)
-    model.load_state(arrays)
+
+    def read(key, build):
+        try:
+            return build(meta[key])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise nn.CheckpointError(f"checkpoint {path}: bad meta.{key} ({exc!r})") from exc
+
+    encoder_cfg = read("encoder", lambda d: EncoderConfig(**d))
+    gcn_cfg = read("predictor", lambda d: GcnConfig(**{**d, "widths": tuple(d["widths"])}))
+    loss = read("loss", lambda d: LossWeights(**d))
+    v, t, classes = read("shape", lambda d: (int(d["v"]), int(d["t"]), list(d["classes"])))
+    pipeline = read("pipeline", str)
+    try:
+        model = build_model(pipeline, encoder_cfg, gcn_cfg, v=v, seed=0)
+        model.load_state(arrays)
+    except (TypeError, ValueError, nn.CheckpointError) as exc:
+        raise nn.CheckpointError(f"checkpoint {path} does not fit its model: {exc}") from exc
     model.set_training(False)
-    config = TrainConfig(
-        encoder=encoder_cfg, predictor=gcn_cfg, loss=LossWeights(**meta["loss"])
-    )
+    config = TrainConfig(encoder=encoder_cfg, predictor=gcn_cfg, loss=loss)
     return TrainedModel(
         model=model,
         config=config,
-        pipeline=meta["pipeline"],
-        v=int(shape["v"]),
-        t=int(shape["t"]),
-        class_names=list(shape["classes"]),
+        pipeline=pipeline,
+        v=v,
+        t=t,
+        class_names=classes,
     )
 
 

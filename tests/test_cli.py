@@ -3,8 +3,11 @@ from pathlib import Path
 
 import pytest
 
-from netgen.cli import main
-from netgen.dataset import load_dataset
+from netgen.cli import _parse_config, main
+from netgen.dataset import SynthSpec, load_dataset
+from netgen.training import TrainConfig
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def base_config(tmp_path, **overrides):
@@ -36,6 +39,12 @@ def base_config(tmp_path, **overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+def set_key(cfg, path, value):
+    for part in path[:-1]:
+        cfg = cfg[part]
+    cfg[path[-1]] = value
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -125,6 +134,18 @@ class TestConfigValidation:
         assert not out.exists()
         assert "unknown keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section,key",
+        [(("train",), "seed"), (("train", "split"), "seed"), (("predictor",), "n_classes")],
+    )
+    def test_fields_the_program_sets_are_unknown_keys(self, tmp_path, capsys, section, key):
+        raw = base_config(tmp_path)
+        set_key(raw, section + (key,), 3)
+        cfg = write_config(tmp_path, raw)
+        assert main(["train", "--config", cfg]) == 2
+        where = ".".join(section)
+        assert f"unknown keys ['{key}'] in '{where}'" in capsys.readouterr().err
+
     def test_bad_pipeline_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, base_config(tmp_path, pipeline="gnn-magic"))
         assert main(["train", "--config", cfg]) == 2
@@ -164,6 +185,48 @@ class TestConfigValidation:
         assert not out.exists()
         err = capsys.readouterr().err
         assert key in err and "t=40" in err
+
+    @pytest.mark.parametrize(
+        "path,value,key",
+        [
+            (("train", "batch_size"), float("nan"), "train.batch_size"),
+            (("train", "epochs"), float("nan"), "train.epochs"),
+            (("encoder", "window"), float("nan"), "encoder.window"),
+            (("predictor", "mlp_hidden"), float("nan"), "predictor.mlp_hidden"),
+            (("encoder", "window"), "abc", "encoder.window"),
+            (("encoder",), 5, "encoder"),
+            (("encoder",), ["kind"], "encoder"),
+            (("predictor", "widths"), 5, "predictor.widths"),
+            (("predictor", "widths"), ["a"], "predictor.widths"),
+            (("dataset", "synth", "modules"), [1, 2], "dataset.synth.modules"),
+            (("dataset", "synth", "seed"), "x", "dataset.synth.seed"),
+            (("interpret",), {"alpha": "x"}, "interpret.alpha"),
+            (("train", "split"), 5, "train.split"),
+            (("sweep",), {"windows": "ab", "dims": [4]}, "sweep.windows"),
+            (("sweep",), {"windows": [0], "dims": [4]}, "sweep.windows 0"),
+            (("sweep",), {"windows": [8], "dims": [0]}, "sweep.dims 0"),
+        ],
+    )
+    def test_malformed_value_exits_2(self, tmp_path, capsys, path, value, key):
+        raw = base_config(tmp_path)
+        set_key(raw, path, value)
+        cfg = write_config(tmp_path, raw)
+        out = tmp_path / "out"
+        command = "sweep" if path[0] == "sweep" else "train"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_omitted_keys_take_dataclass_defaults(self):
+        cfg = _parse_config({"dataset": {"synth": {}}}, "config.json")
+        assert cfg.train_cfg == TrainConfig()
+        assert cfg.synth == SynthSpec()
+        assert (cfg.interpret_alpha, cfg.interpret_split, cfg.out_dir) == (0.05, "all", "runs/out")
+
+    def test_readme_config_parses(self):
+        text = README.read_text()
+        block = text.split("```json\n", 1)[1].split("```", 1)[0]
+        _parse_config(json.loads(block), str(README))
 
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:

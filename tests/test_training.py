@@ -1,3 +1,4 @@
+import json
 import logging
 
 import numpy as np
@@ -14,7 +15,7 @@ from netgen.dataset import (
 )
 from netgen.encoders import EncoderConfig
 from netgen.graphgen import LossWeights, generate_graph
-from netgen.nncore import Tensor
+from netgen.nncore import CheckpointError, Tensor
 from netgen.predictor import GcnConfig
 from netgen.training import (
     ABLATION_VARIANTS,
@@ -263,6 +264,31 @@ class TestCheckpointRoundTrip:
         assert loaded.pipeline == "fbnetgen-gru"
         assert loaded.v == ds.v and loaded.t == ds.t
         assert loaded.class_names == ds.class_names
+
+    @pytest.mark.parametrize(
+        "corrupt,key",
+        [
+            (lambda doc, a: a.update(data=a["data"][:-16]), "array 'param.encoder.gru0.bwd.b_hh'"),
+            (lambda doc, a: a.update(data=a["data"] + "A"), "array 'param.encoder.gru0.bwd.b_hh'"),
+            (lambda doc, a: a.update(shape=[a["shape"][0] + 1]),
+             "array 'param.encoder.gru0.bwd.b_hh'"),
+            (lambda doc, a: doc.pop("arrays"), "'arrays'"),
+            (lambda doc, a: doc["meta"].pop("encoder"), "meta.encoder"),
+            (lambda doc, a: doc["meta"]["encoder"].update(extra=1), "meta.encoder"),
+        ],
+        ids=["truncated-data", "bad-base64", "shape-mismatch", "no-arrays", "no-meta-encoder",
+             "extra-meta-encoder-key"],
+    )
+    def test_corrupt_checkpoint_raises_checkpoint_error(self, tmp_path, corrupt, key):
+        tm, _ = train(tiny_config(epochs=1), tiny_dataset())
+        path = tmp_path / "ckpt.json"
+        save_model(tm, path)
+        doc = json.loads(path.read_text())
+        corrupt(doc, doc["arrays"]["param.encoder.gru0.bwd.b_hh"])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError) as exc:
+            load_model(path)
+        assert str(path) in str(exc.value) and key in str(exc.value)
 
 
 class TestHarnesses:
