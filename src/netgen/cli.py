@@ -42,11 +42,10 @@ from .training import (
     TrainConfig,
     ablate,
     compare,
-    evaluate,
     load_model,
+    run_seeds,
     save_model,
     sweep,
-    train,
 )
 
 __all__ = ["ConfigError", "ExperimentConfig", "main", "entrypoint"]
@@ -56,8 +55,7 @@ class ConfigError(Exception):
     """Invalid experiment configuration; maps to exit code 2."""
 
 
-# The `sweep` and `interpret` sections; ExperimentConfig carries their
-# fields as sweep_* and interpret_*.
+# The `sweep` and `interpret` sections of an ExperimentConfig.
 @dataclass
 class _SweepGrid:
     windows: list = field(default_factory=list)
@@ -79,10 +77,8 @@ class ExperimentConfig:
     pipeline: str | None
     seeds: list
     out_dir: str
-    sweep_windows: list
-    sweep_dims: list
-    interpret_alpha: float
-    interpret_split: str
+    sweep: _SweepGrid
+    interpret: _Interpret
     raw: dict = field(default_factory=dict)
 
 
@@ -96,6 +92,14 @@ _NOT_KEYS = {TrainConfig: ("seed",), SplitSpec: ("seed",), GcnConfig: ("n_classe
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ConfigError(message)
+
+
+def _int_list(values, key: str, least: int) -> list:
+    """`values` as a list, if every entry is an int >= `least`. Bools and
+    floats such as 8.0 are rejected rather than passed to `int()`."""
+    for x in values:
+        _require(type(x) is int and x >= least, f"{key} {x!r} is not an integer >= {least}")
+    return list(values)
 
 
 def _object(raw, keys, where: str) -> dict:
@@ -149,7 +153,7 @@ def _parse_config(raw: dict, path: str) -> ExperimentConfig:
     synth_seed = 0
     if synth_raw is not None:
         _require(isinstance(synth_raw, dict), "'dataset.synth' must be a JSON object")
-        synth_seed = _convert(int, synth_raw.get("seed", synth_seed), "dataset.synth.seed")
+        synth_seed = _int_list([synth_raw.get("seed", synth_seed)], "dataset.synth.seed", 0)[0]
         synth = _section(
             SynthSpec, {k: v for k, v in synth_raw.items() if k != "seed"}, "dataset.synth"
         )
@@ -168,12 +172,8 @@ def _parse_config(raw: dict, path: str) -> ExperimentConfig:
         train_cfg.validate()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    for window in grid.windows:
-        for dim in grid.dims:
-            try:
-                replace(train_cfg.encoder, window=window, dim=dim).validate()
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"sweep.windows {window}, sweep.dims {dim}: {exc}") from exc
+    _int_list(grid.windows, "sweep.windows", 1)
+    _int_list(grid.dims, "sweep.dims", 1)
     _require(
         interpret.split in ("all", "train", "val", "test"),
         "interpret.split must be one of all/train/val/test",
@@ -184,10 +184,7 @@ def _parse_config(raw: dict, path: str) -> ExperimentConfig:
         _require(pipeline in PIPELINES, f"unknown pipeline {pipeline!r}; choose from {PIPELINES}")
 
     seeds = raw.get("seeds", [0])
-    _require(
-        isinstance(seeds, list) and seeds and all(isinstance(s, int) for s in seeds),
-        "'seeds' must be a non-empty list of integers",
-    )
+    _require(isinstance(seeds, list) and seeds, "'seeds' must be a non-empty list of integers")
 
     return ExperimentConfig(
         dataset_path=dataset_path,
@@ -195,12 +192,10 @@ def _parse_config(raw: dict, path: str) -> ExperimentConfig:
         synth_seed=synth_seed,
         train_cfg=train_cfg,
         pipeline=pipeline,
-        seeds=list(seeds),
+        seeds=_int_list(seeds, "seeds", 0),
         out_dir=str(raw.get("out_dir", "runs/out")),
-        sweep_windows=grid.windows,
-        sweep_dims=grid.dims,
-        interpret_alpha=interpret.alpha,
-        interpret_split=interpret.split,
+        sweep=grid,
+        interpret=interpret,
         raw=raw,
     )
 
@@ -226,11 +221,12 @@ def _resolve_dataset(cfg: ExperimentConfig) -> Dataset:
     return load_dataset(path)
 
 
-def _check_series_length(cfg: ExperimentConfig, ds: Dataset, pipelines, windows=None,
+def _check_series_length(cfg: ExperimentConfig, ds: Dataset, pipelines=(None,), windows=None,
                          key: str = "encoder.window") -> None:
-    """Reject up front every encoder window, among those the run will train
-    with, that is too long for the dataset's series."""
+    """Reject up front every encoder window the run will train with that is
+    too long for the dataset's series; pipeline None is `train`'s default."""
     for pipeline in pipelines:
+        pipeline = pipeline or f"fbnetgen-{cfg.train_cfg.encoder.kind}"
         for window in windows or [cfg.train_cfg.encoder.window]:
             enc = pipeline_encoder(pipeline, replace(cfg.train_cfg.encoder, window=window))
             if enc is not None and ds.t < enc.min_length():
@@ -253,6 +249,13 @@ class _RunLog:
 
     def write(self, path: Path) -> None:
         path.write_text("\n".join(self.lines) + "\n")
+
+
+def _write_table(path: Path, header, rows) -> None:
+    """CSV under `header`: strings and ints as they are, floats as repr."""
+    lines = [",".join(header)]
+    lines += [",".join(c if isinstance(c, str) else repr(c) for c in row) for row in rows]
+    path.write_text("\n".join(lines) + "\n")
 
 
 def _write_run_json(out: Path, cfg: ExperimentConfig, command: str, artifacts, extra=None):
@@ -278,28 +281,24 @@ def cmd_synth(cfg: ExperimentConfig, out_dir: Path, log: _RunLog) -> None:
 
 def cmd_train(cfg: ExperimentConfig, out_dir: Path, log: _RunLog) -> None:
     ds = _resolve_dataset(cfg)
-    _check_series_length(cfg, ds, [cfg.pipeline or f"fbnetgen-{cfg.train_cfg.encoder.kind}"])
-    seed = cfg.seeds[0]
-    run_cfg = replace(cfg.train_cfg, seed=seed, split=replace(cfg.train_cfg.split, seed=seed))
-    tm, history = train(run_cfg, ds, pipeline=cfg.pipeline)
-    _, _, test_ds = split(ds, run_cfg.split)
-    test_metrics = evaluate(tm, test_ds)
+    _check_series_length(cfg, ds, [cfg.pipeline])
+    [(tm, history, test_metrics)] = run_seeds(cfg.train_cfg, ds, cfg.seeds[:1], cfg.pipeline)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     save_model(tm, out_dir / "checkpoint.json")
     names = [f.name for f in fields(Metrics)]
-    header = ["epoch"] + [f"{side}_{k}" for side in ("train", "val") for k in names]
-    rows = [",".join(header)]
-    for epoch, (mt, mv) in enumerate(zip(history.train, history.val)):
-        cells = [repr(x) for m in (mt, mv) for x in m.as_dict().values()]
-        rows.append(",".join([str(epoch)] + cells))
-    (out_dir / "history.csv").write_text("\n".join(rows) + "\n")
+    _write_table(
+        out_dir / "history.csv",
+        ["epoch"] + [f"{side}_{k}" for side in ("train", "val") for k in names],
+        [[epoch, *mt.as_dict().values(), *mv.as_dict().values()]
+         for epoch, (mt, mv) in enumerate(zip(history.train, history.val))],
+    )
     metrics_doc = {
         "selected_epoch": history.selected_epoch,
         "val_at_selected": history.val[history.selected_epoch].as_dict(),
         "test": test_metrics.as_dict(),
         "pipeline": tm.pipeline,
-        "seed": seed,
+        "seed": tm.config.seed,
     }
     (out_dir / "metrics.json").write_text(json.dumps(metrics_doc, indent=1, sort_keys=True))
     _write_run_json(
@@ -310,7 +309,7 @@ def cmd_train(cfg: ExperimentConfig, out_dir: Path, log: _RunLog) -> None:
         extra={"selected_epoch": history.selected_epoch},
     )
     log.add(
-        f"trained {tm.pipeline} seed={seed}: best epoch {history.selected_epoch}, "
+        f"trained {tm.pipeline} seed={tm.config.seed}: best epoch {history.selected_epoch}, "
         f"test auroc {test_metrics.auroc:.4f}, accuracy {test_metrics.accuracy:.4f}"
     )
 
@@ -320,13 +319,7 @@ def cmd_compare(cfg: ExperimentConfig, out_dir: Path, log: _RunLog) -> None:
     _check_series_length(cfg, ds, PIPELINES)
     rows = compare(cfg.train_cfg, ds, cfg.seeds)
     out_dir.mkdir(parents=True, exist_ok=True)
-    lines = ["pipeline,auroc_mean,auroc_std,accuracy_mean,accuracy_std"]
-    for row in rows:
-        lines.append(
-            f"{row['pipeline']},{row['auroc_mean']!r},{row['auroc_std']!r},"
-            f"{row['accuracy_mean']!r},{row['accuracy_std']!r}"
-        )
-    (out_dir / "compare.csv").write_text("\n".join(lines) + "\n")
+    _write_table(out_dir / "compare.csv", list(rows[0]), [row.values() for row in rows])
     _write_run_json(out_dir, cfg, "compare", ["compare.csv", "log.txt"])
     for row in rows:
         log.add(
@@ -337,16 +330,14 @@ def cmd_compare(cfg: ExperimentConfig, out_dir: Path, log: _RunLog) -> None:
 
 def cmd_ablate(cfg: ExperimentConfig, out_dir: Path, log: _RunLog) -> None:
     ds = _resolve_dataset(cfg)
-    _check_series_length(cfg, ds, [f"fbnetgen-{cfg.train_cfg.encoder.kind}"])
+    _check_series_length(cfg, ds)
     rows = ablate(cfg.train_cfg, ds, cfg.seeds)
     out_dir.mkdir(parents=True, exist_ok=True)
-    header = ["variant"] + [f"seed{s}" for s in cfg.seeds] + ["mean", "std"]
-    lines = [",".join(header)]
-    for row in rows:
-        cells = [row["variant"]] + [repr(x) for x in row["per_seed"]]
-        cells += [repr(row["mean"]), repr(row["std"])]
-        lines.append(",".join(cells))
-    (out_dir / "ablation.csv").write_text("\n".join(lines) + "\n")
+    _write_table(
+        out_dir / "ablation.csv",
+        ["variant"] + [f"seed{s}" for s in cfg.seeds] + ["mean", "std"],
+        [[row["variant"], *row["per_seed"], row["mean"], row["std"]] for row in rows],
+    )
     _write_run_json(out_dir, cfg, "ablate", ["ablation.csv", "log.txt"])
     for row in rows:
         log.add(f"{row['variant']:>6}: AUROC {row['mean']:.3f} +- {row['std']:.3f}")
@@ -354,19 +345,14 @@ def cmd_ablate(cfg: ExperimentConfig, out_dir: Path, log: _RunLog) -> None:
 
 def cmd_sweep(cfg: ExperimentConfig, out_dir: Path, log: _RunLog) -> None:
     _require(
-        bool(cfg.sweep_windows) and bool(cfg.sweep_dims),
+        bool(cfg.sweep.windows) and bool(cfg.sweep.dims),
         "sweep command needs a 'sweep' section with non-empty 'windows' and 'dims'",
     )
     ds = _resolve_dataset(cfg)
-    _check_series_length(
-        cfg, ds, [f"fbnetgen-{cfg.train_cfg.encoder.kind}"], cfg.sweep_windows, "sweep.windows"
-    )
-    rows = sweep(cfg.train_cfg, ds, cfg.sweep_windows, cfg.sweep_dims, seeds=cfg.seeds)
+    _check_series_length(cfg, ds, windows=cfg.sweep.windows, key="sweep.windows")
+    rows = sweep(cfg.train_cfg, ds, cfg.sweep.windows, cfg.sweep.dims, cfg.seeds)
     out_dir.mkdir(parents=True, exist_ok=True)
-    lines = ["window,dim,auroc,accuracy"]
-    for row in rows:
-        lines.append(f"{row['window']},{row['dim']},{row['auroc']!r},{row['accuracy']!r}")
-    (out_dir / "sweep.csv").write_text("\n".join(lines) + "\n")
+    _write_table(out_dir / "sweep.csv", list(rows[0]), [row.values() for row in rows])
     _write_run_json(out_dir, cfg, "sweep", ["sweep.csv", "log.txt"])
     for row in rows:
         log.add(
@@ -384,10 +370,9 @@ def cmd_interpret(cfg: ExperimentConfig, out_dir: Path, log: _RunLog, checkpoint
         tm.v == ds.v,
         f"checkpoint was trained on v={tm.v} ROIs but the dataset has v={ds.v}",
     )
-    if cfg.interpret_split != "all":
-        seed = cfg.seeds[0]
-        parts = split(ds, replace(cfg.train_cfg.split, seed=seed))
-        ds = dict(zip(("train", "val", "test"), parts))[cfg.interpret_split]
+    if cfg.interpret.split != "all":
+        parts = split(ds, cfg.train_cfg.seeded(cfg.seeds[0]).split)
+        ds = dict(zip(("train", "val", "test"), parts))[cfg.interpret.split]
     graphs, labels = collect_graphs(tm, ds)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -400,10 +385,9 @@ def cmd_interpret(cfg: ExperimentConfig, out_dir: Path, log: _RunLog, checkpoint
         export_matrix(mean_graph(graphs[labels == c]), out_dir / name)
         artifacts.append(name)
 
-    edges = edge_ttest(graphs, labels, alpha=cfg.interpret_alpha)
-    lines = ["p,q,t,pvalue"]
-    lines.extend(f"{e.p},{e.q},{e.t!r},{e.pvalue!r}" for e in edges.edges)
-    (out_dir / "edges_significant.csv").write_text("\n".join(lines) + "\n")
+    edges = edge_ttest(graphs, labels, alpha=cfg.interpret.alpha)
+    _write_table(out_dir / "edges_significant.csv", ["p", "q", "t", "pvalue"],
+                 [(e.p, e.q, e.t, e.pvalue) for e in edges.edges])
     artifacts.append("edges_significant.csv")
 
     scores = module_difference_scores(edges, ds.partition, ds.v)
@@ -415,7 +399,7 @@ def cmd_interpret(cfg: ExperimentConfig, out_dir: Path, log: _RunLog, checkpoint
     top = ", ".join(f"{s.module}={s.score:.4f}" for s in scores[:3])
     log.add(
         f"interpreted {len(labels)} samples: {len(edges.edges)}/{edges.n_tested} "
-        f"edges flagged at alpha={cfg.interpret_alpha}; top modules: {top}"
+        f"edges flagged at alpha={cfg.interpret.alpha}; top modules: {top}"
     )
 
 
@@ -439,7 +423,7 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args.config)
         if args.seed is not None:
-            cfg.seeds = [args.seed]
+            cfg.seeds = _int_list([args.seed], "--seed", 0)
             if args.command == "synth":
                 cfg.synth_seed = args.seed
         if args.epochs is not None:

@@ -125,6 +125,11 @@ class Dataset:
     def validate(self) -> None:
         if not self.samples:
             raise DatasetError("dataset has no samples")
+        if len(self.class_names) != 2:
+            raise DatasetError(
+                f"the task is binary but the dataset declares {len(self.class_names)} "
+                f"classes {self.class_names}"
+            )
         v, t = self.samples[0].x.shape
         for s in self.samples:
             s.validate()

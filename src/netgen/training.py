@@ -7,6 +7,7 @@ maximizes validation AUROC.
 """
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass, field, asdict, replace
 
@@ -36,6 +37,7 @@ __all__ = [
     "total_loss",
     "train",
     "evaluate",
+    "run_seeds",
     "ablate",
     "sweep",
     "compare",
@@ -86,6 +88,13 @@ class TrainConfig:
         if not (np.isfinite(self.weight_decay) and self.weight_decay >= 0):
             raise ValueError("weight_decay must be finite and non-negative")
         self.split.ratios()
+        if self.split.val <= 0:
+            raise ValueError("train.split.val must be positive: the best-validation epoch "
+                             "is selected on the validation split")
+
+    def seeded(self, seed: int) -> "TrainConfig":
+        """This config with `seed` driving model init, batch order and the split."""
+        return replace(self, seed=seed, split=replace(self.split, seed=seed))
 
 
 @dataclass
@@ -117,6 +126,8 @@ def auroc(scores, labels) -> float:
         raise ValueError("scores and labels must be 1-D arrays of equal length")
     n_pos = int((labels == 1).sum())
     n_neg = int((labels == 0).sum())
+    if n_pos + n_neg != len(labels):
+        raise ValueError("auroc needs binary labels in {0, 1}")
     if n_pos == 0 or n_neg == 0:
         raise ValueError("auroc needs both classes present")
     order = np.argsort(scores, kind="stable")
@@ -398,15 +409,22 @@ def _variant_weights(variant: str, base: LossWeights) -> LossWeights:
     raise ValueError(f"unknown ablation variant {variant!r}")
 
 
-def _run_once(config: TrainConfig, ds: Dataset, seed: int, pipeline: str | None):
-    """One seeded train/test cycle; the split is re-seeded along with init."""
-    run_cfg = replace(
-        config, seed=seed, split=replace(config.split, seed=seed)
-    )
-    tm, history = train(run_cfg, ds, pipeline=pipeline)
-    _, _, test_ds = split(ds, run_cfg.split)
-    metrics = evaluate(tm, test_ds)
-    return tm, history, metrics
+def run_seeds(config: TrainConfig, ds: Dataset, seeds, pipeline: str | None = None) -> list:
+    """One train/test cycle per seed, in seed order, with the config
+    `seeded` by it: a list of (model, history, test Metrics)."""
+    runs = []
+    for seed in seeds:
+        run_cfg = config.seeded(seed)
+        tm, history = train(run_cfg, ds, pipeline=pipeline)
+        _, _, test_ds = split(ds, run_cfg.split)
+        runs.append((tm, history, evaluate(tm, test_ds)))
+    return runs
+
+
+def _test_metrics(config: TrainConfig, ds: Dataset, seeds, pipeline: str | None = None):
+    """Test AUROCs and accuracies over the seeds, in seed order."""
+    runs = run_seeds(config, ds, seeds, pipeline)
+    return [m.auroc for _, _, m in runs], [m.accuracy for _, _, m in runs]
 
 
 def ablate(config: TrainConfig, ds: Dataset, seeds) -> list:
@@ -418,64 +436,31 @@ def ablate(config: TrainConfig, ds: Dataset, seeds) -> list:
     rows = []
     for variant in ABLATION_VARIANTS:
         variant_cfg = replace(config, loss=_variant_weights(variant, config.loss))
-        per_seed = []
-        for seed in seeds:
-            _, _, metrics = _run_once(variant_cfg, ds, seed, pipeline=None)
-            per_seed.append(metrics.auroc)
-        rows.append(
-            {
-                "variant": variant,
-                "per_seed": per_seed,
-                "mean": float(np.mean(per_seed)),
-                "std": float(np.std(per_seed)),
-            }
-        )
+        aurocs, _ = _test_metrics(variant_cfg, ds, seeds)
+        rows.append({"variant": variant, "per_seed": aurocs,
+                     "mean": float(np.mean(aurocs)), "std": float(np.std(aurocs))})
     return rows
 
 
-def sweep(config: TrainConfig, ds: Dataset, windows, dims, seeds=None) -> list:
-    """Grid over encoder window and embedding size; one row per cell."""
+def sweep(config: TrainConfig, ds: Dataset, windows, dims, seeds) -> list:
+    """Grid over encoder window and embedding size; one row per cell, means over seeds."""
     if not windows or not dims:
         raise ValueError("sweep grid must be non-empty")
-    seeds = list(seeds) if seeds else [config.seed]
     rows = []
-    for window in windows:
-        for dim in dims:
-            cell_cfg = replace(
-                config, encoder=replace(config.encoder, window=window, dim=dim)
-            )
-            aurocs, accs = [], []
-            for seed in seeds:
-                _, _, metrics = _run_once(cell_cfg, ds, seed, pipeline=None)
-                aurocs.append(metrics.auroc)
-                accs.append(metrics.accuracy)
-            rows.append(
-                {
-                    "window": window,
-                    "dim": dim,
-                    "auroc": float(np.mean(aurocs)),
-                    "accuracy": float(np.mean(accs)),
-                }
-            )
+    for window, dim in itertools.product(windows, dims):
+        cell_cfg = replace(config, encoder=replace(config.encoder, window=window, dim=dim))
+        aurocs, accs = _test_metrics(cell_cfg, ds, seeds)
+        rows.append({"window": window, "dim": dim,
+                     "auroc": float(np.mean(aurocs)), "accuracy": float(np.mean(accs))})
     return rows
 
 
-def compare(config: TrainConfig, ds: Dataset, seeds, pipelines=PIPELINES) -> list:
+def compare(config: TrainConfig, ds: Dataset, seeds) -> list:
     """Train every pipeline over the seeds; mean and std of test metrics."""
     rows = []
-    for pipeline in pipelines:
-        aurocs, accs = [], []
-        for seed in seeds:
-            _, _, metrics = _run_once(config, ds, seed, pipeline=pipeline)
-            aurocs.append(metrics.auroc)
-            accs.append(metrics.accuracy)
-        rows.append(
-            {
-                "pipeline": pipeline,
-                "auroc_mean": float(np.mean(aurocs)),
-                "auroc_std": float(np.std(aurocs)),
-                "accuracy_mean": float(np.mean(accs)),
-                "accuracy_std": float(np.std(accs)),
-            }
-        )
+    for pipeline in PIPELINES:
+        aurocs, accs = _test_metrics(config, ds, seeds, pipeline)
+        rows.append({"pipeline": pipeline,
+                     "auroc_mean": float(np.mean(aurocs)), "auroc_std": float(np.std(aurocs)),
+                     "accuracy_mean": float(np.mean(accs)), "accuracy_std": float(np.std(accs))})
     return rows

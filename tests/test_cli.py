@@ -205,6 +205,11 @@ class TestConfigValidation:
             (("sweep",), {"windows": "ab", "dims": [4]}, "sweep.windows"),
             (("sweep",), {"windows": [0], "dims": [4]}, "sweep.windows 0"),
             (("sweep",), {"windows": [8], "dims": [0]}, "sweep.dims 0"),
+            (("sweep",), {"windows": [8.0], "dims": [4]}, "sweep.windows 8.0"),
+            (("sweep",), {"windows": [8], "dims": [4.0]}, "sweep.dims 4.0"),
+            (("seeds",), [True], "seeds True"),
+            (("seeds",), [-1], "seeds -1"),
+            (("train", "split"), {"train": 0.8, "val": 0, "test": 0.2}, "train.split.val"),
         ],
     )
     def test_malformed_value_exits_2(self, tmp_path, capsys, path, value, key):
@@ -221,7 +226,14 @@ class TestConfigValidation:
         cfg = _parse_config({"dataset": {"synth": {}}}, "config.json")
         assert cfg.train_cfg == TrainConfig()
         assert cfg.synth == SynthSpec()
-        assert (cfg.interpret_alpha, cfg.interpret_split, cfg.out_dir) == (0.05, "all", "runs/out")
+        assert (cfg.interpret.alpha, cfg.interpret.split, cfg.out_dir) == (0.05, "all", "runs/out")
+
+    def test_negative_seed_flag_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, base_config(tmp_path))
+        out = tmp_path / "out"
+        assert main(["train", "--config", cfg, "--out", str(out), "--seed", "-5"]) == 2
+        assert "--seed -5" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_readme_config_parses(self):
         text = README.read_text()

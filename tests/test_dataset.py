@@ -209,6 +209,16 @@ class TestRoundTrip:
         with pytest.raises(DatasetError, match="unknown label 7"):
             load_dataset(tmp_path / "d")
 
+    def test_three_class_manifest_rejected(self, tmp_path):
+        ds = small_dataset()
+        write_dataset(ds, tmp_path / "d")
+        manifest = json.loads((tmp_path / "d" / "manifest.json").read_text())
+        manifest["classes"].append("c2")
+        manifest["samples"][0]["label"] = 2
+        (tmp_path / "d" / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(DatasetError, match="binary"):
+            load_dataset(tmp_path / "d")
+
     def test_non_finite_value_reported(self, tmp_path):
         ds = small_dataset()
         write_dataset(ds, tmp_path / "d")

@@ -24,6 +24,7 @@ from netgen.training import (
     ablate,
     accuracy,
     auroc,
+    compare,
     cross_entropy,
     evaluate,
     load_model,
@@ -84,6 +85,10 @@ class TestAuroc:
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="both classes"):
             auroc([0.1, 0.2], [1, 1])
+
+    def test_label_outside_binary_rejected(self):
+        with pytest.raises(ValueError, match="binary"):
+            auroc([0.1, 0.5, 0.9, 0.3, 0.2], [0, 1, 2, 2, 1])
 
     def test_matches_pairwise_oracle_exactly(self):
         rng = np.random.default_rng(0)
@@ -191,6 +196,14 @@ class TestTrain:
         tm, hist = train(tiny_config(epochs=2), ds, pipeline=pipeline)
         assert tm.pipeline == pipeline
         assert len(hist.val) == 2
+
+    def test_zero_validation_ratio_rejected_before_training(self, monkeypatch):
+        import netgen.training as training_mod
+
+        monkeypatch.setattr(training_mod, "build_model", None)  # no model gets built
+        cfg = tiny_config(split=SplitSpec(0.8, 0.0, 0.2, seed=0))
+        with pytest.raises(ValueError, match="train.split.val"):
+            train(cfg, tiny_dataset())
 
     def test_split_leaving_class_out_rejected(self):
         ds = tiny_dataset(n=24)
@@ -313,22 +326,37 @@ class TestHarnesses:
 
     def test_sweep_grid_rows(self):
         ds = tiny_dataset()
-        rows = sweep(tiny_config(epochs=1), ds, windows=[4, 8], dims=[2, 4])
+        rows = sweep(tiny_config(epochs=1), ds, windows=[4, 8], dims=[2, 4], seeds=[0])
         assert len(rows) == 4
         assert {(r["window"], r["dim"]) for r in rows} == {(4, 2), (4, 4), (8, 2), (8, 4)}
 
-    def test_single_cell_sweep_reduces_to_train(self):
-        ds = tiny_dataset()
-        rows = sweep(tiny_config(epochs=1), ds, windows=[8], dims=[4])
-        assert len(rows) == 1
+    @pytest.mark.parametrize(
+        "harness",
+        [
+            lambda cfg, ds: [{"auroc": r["auroc"], "accuracy": r["accuracy"]}
+                             for r in sweep(cfg, ds, windows=[8], dims=[4], seeds=[0])],
+            lambda cfg, ds: [{"auroc": r["auroc_mean"], "accuracy": r["accuracy_mean"]}
+                             for r in compare(cfg, ds, seeds=[0])
+                             if r["pipeline"] == "fbnetgen-gru"],
+            lambda cfg, ds: [{"auroc": r["mean"]} for r in ablate(cfg, ds, seeds=[0])
+                             if r["variant"] == "All"],
+        ],
+        ids=["sweep", "compare", "ablate"],
+    )
+    def test_single_seed_row_reduces_to_train(self, harness):
+        # t=40 leaves room for compare's CNN pipelines
+        ds = tiny_dataset(t=40)
+        # seeds=[0] re-seeds both the init and the split of the harness config
+        [row] = harness(tiny_config(epochs=1, seed=5, split=SplitSpec(0.6, 0.2, 0.2, seed=5)), ds)
         cfg = tiny_config(epochs=1, seed=0, split=SplitSpec(0.6, 0.2, 0.2, seed=0))
         tm, _ = train(cfg, ds)
         _, _, test_ds = split(ds, cfg.split)
-        assert rows[0]["auroc"] == pytest.approx(evaluate(tm, test_ds).auroc)
+        direct = evaluate(tm, test_ds)
+        assert row == {k: getattr(direct, k) for k in row}
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
-            sweep(tiny_config(), tiny_dataset(), windows=[], dims=[4])
+            sweep(tiny_config(), tiny_dataset(), windows=[], dims=[4], seeds=[0])
 
 
 class TestCeCurveCheck:
