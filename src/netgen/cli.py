@@ -46,6 +46,7 @@ from .training import (
     run_seeds,
     save_model,
     sweep,
+    train_splits,
 )
 
 __all__ = ["ConfigError", "ExperimentConfig", "main", "entrypoint"]
@@ -236,6 +237,15 @@ def _check_series_length(cfg: ExperimentConfig, ds: Dataset, pipelines=(None,), 
                 )
 
 
+def _check_splits(cfg: ExperimentConfig, ds: Dataset, seeds) -> None:
+    """Reject up front every seed whose split `train` would refuse."""
+    for seed in seeds:
+        try:
+            train_splits(cfg.train_cfg.seeded(seed), ds)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+
+
 class _RunLog:
     """Collects timestamped lines; the only artifact allowed to vary."""
 
@@ -282,6 +292,7 @@ def cmd_synth(cfg: ExperimentConfig, out_dir: Path, log: _RunLog) -> None:
 def cmd_train(cfg: ExperimentConfig, out_dir: Path, log: _RunLog) -> None:
     ds = _resolve_dataset(cfg)
     _check_series_length(cfg, ds, [cfg.pipeline])
+    _check_splits(cfg, ds, cfg.seeds[:1])
     [(tm, history, test_metrics)] = run_seeds(cfg.train_cfg, ds, cfg.seeds[:1], cfg.pipeline)
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -317,6 +328,7 @@ def cmd_train(cfg: ExperimentConfig, out_dir: Path, log: _RunLog) -> None:
 def cmd_compare(cfg: ExperimentConfig, out_dir: Path, log: _RunLog) -> None:
     ds = _resolve_dataset(cfg)
     _check_series_length(cfg, ds, PIPELINES)
+    _check_splits(cfg, ds, cfg.seeds)
     rows = compare(cfg.train_cfg, ds, cfg.seeds)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_table(out_dir / "compare.csv", list(rows[0]), [row.values() for row in rows])
@@ -331,6 +343,7 @@ def cmd_compare(cfg: ExperimentConfig, out_dir: Path, log: _RunLog) -> None:
 def cmd_ablate(cfg: ExperimentConfig, out_dir: Path, log: _RunLog) -> None:
     ds = _resolve_dataset(cfg)
     _check_series_length(cfg, ds)
+    _check_splits(cfg, ds, cfg.seeds)
     rows = ablate(cfg.train_cfg, ds, cfg.seeds)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_table(
@@ -350,6 +363,7 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path, log: _RunLog) -> None:
     )
     ds = _resolve_dataset(cfg)
     _check_series_length(cfg, ds, windows=cfg.sweep.windows, key="sweep.windows")
+    _check_splits(cfg, ds, cfg.seeds)
     rows = sweep(cfg.train_cfg, ds, cfg.sweep.windows, cfg.sweep.dims, cfg.seeds)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_table(out_dir / "sweep.csv", list(rows[0]), [row.values() for row in rows])

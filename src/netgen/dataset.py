@@ -131,7 +131,10 @@ class Dataset:
                 f"classes {self.class_names}"
             )
         v, t = self.samples[0].x.shape
-        for s in self.samples:
+        first = {}  # sample id -> index of its first sample
+        for i, s in enumerate(self.samples):
+            if first.setdefault(s.id, i) != i:
+                raise DatasetError(f"samples {first[s.id]} and {i} share the id '{s.id}'")
             s.validate()
             if s.x.shape != (v, t):
                 raise DatasetError(
@@ -382,6 +385,16 @@ def _read_sample_file(path: Path, v: int, t: int, sample_id: str) -> np.ndarray:
     return x
 
 
+_JSON_NAMES = {dict: "object", list: "array", int: "integer", str: "string"}
+
+
+def _typed(value, kind, where: str):
+    """`value` if it is a `kind` (a bool is not an int), else DatasetError."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise DatasetError(f"{where} must be a JSON {_JSON_NAMES[kind]}, got {value!r}")
+    return value
+
+
 def load_dataset(path) -> Dataset:
     root = Path(path)
     manifest_path = root / "manifest.json"
@@ -391,23 +404,32 @@ def load_dataset(path) -> Dataset:
         manifest = json.loads(manifest_path.read_text())
     except json.JSONDecodeError as exc:
         raise DatasetError(f"{manifest_path}: malformed JSON ({exc})") from exc
+    _typed(manifest, dict, str(manifest_path))
     for key in ("v", "t", "classes", "samples", "modules_file"):
         if key not in manifest:
             raise DatasetError(f"{manifest_path}: missing key '{key}'")
-    v, t = int(manifest["v"]), int(manifest["t"])
-    class_names = list(manifest["classes"])
+    v = _typed(manifest["v"], int, f"{manifest_path}: 'v'")
+    t = _typed(manifest["t"], int, f"{manifest_path}: 't'")
+    class_names = _typed(manifest["classes"], list, f"{manifest_path}: 'classes'")
+    for i, name in enumerate(class_names):
+        _typed(name, str, f"{manifest_path}: classes[{i}]")
 
     samples = []
-    for entry in manifest["samples"]:
-        label = int(entry["label"])
+    for i, entry in enumerate(_typed(manifest["samples"], list, f"{manifest_path}: 'samples'")):
+        where = f"{manifest_path}: samples[{i}]"
+        for key in ("id", "label", "file"):
+            if key not in _typed(entry, dict, where):
+                raise DatasetError(f"{where} has no '{key}'")
+        sample_id = _typed(entry["id"], str, f"{where}.id")
+        label = _typed(entry["label"], int, f"{where}.label")
         if label < 0 or label >= len(class_names):
             raise DatasetError(
-                f"{manifest_path}: sample '{entry['id']}' has unknown label {label}"
+                f"{manifest_path}: sample '{sample_id}' has unknown label {label}"
             )
-        x = _read_sample_file(root / entry["file"], v, t, entry["id"])
-        samples.append(TimeSeriesSample(id=str(entry["id"]), x=x, label=label))
+        x = _read_sample_file(root / _typed(entry["file"], str, f"{where}.file"), v, t, sample_id)
+        samples.append(TimeSeriesSample(id=sample_id, x=x, label=label))
 
-    modules_path = root / manifest["modules_file"]
+    modules_path = root / _typed(manifest["modules_file"], str, f"{manifest_path}: 'modules_file'")
     if not modules_path.exists():
         raise DatasetError(f"modules file '{modules_path}' does not exist")
     modules: dict = {}
@@ -423,5 +445,8 @@ def load_dataset(path) -> Dataset:
         modules.setdefault(name.strip(), []).append(roi)
 
     ds = Dataset(samples=samples, partition=ModulePartition(modules), class_names=class_names)
-    ds.validate()
+    try:
+        ds.validate()
+    except DatasetError as exc:
+        raise DatasetError(f"{manifest_path}: {exc}") from exc
     return ds

@@ -56,10 +56,6 @@ class CnnEncoder(nn.Module):
         self.fc1 = nn.Dense(16, 32, rng)
         self.fc2 = nn.Dense(32, cfg.dim, rng)
 
-    @property
-    def dim(self) -> int:
-        return self.cfg.dim
-
     def min_length(self) -> int:
         """Smallest t admitted by the receptive field of the conv stack."""
         return self.cfg.min_length()
@@ -100,14 +96,6 @@ class GruEncoder(nn.Module):
             n_in = cfg.window if layer == 0 else 2 * hid
             self.gru.append({"fwd": nn.GruCell(n_in, hid, rng), "bwd": nn.GruCell(n_in, hid, rng)})
         self.out = nn.Dense(2 * hid, cfg.dim, rng)
-
-    @property
-    def dim(self) -> int:
-        return self.cfg.dim
-
-    @property
-    def readout_width(self) -> int:
-        return 2 * self.cfg.window
 
     def segment_count(self, t: int) -> int:
         return t // self.cfg.window

@@ -14,7 +14,7 @@ from scipy import special
 
 from .dataset import ModulePartition, Dataset, format_value, write_matrix_csv
 from .nncore import Tensor
-from .training import TrainedModel, _prepare_arrays
+from .training import TrainedModel, _eval_batches, _signals
 
 __all__ = [
     "EdgeStat",
@@ -59,20 +59,17 @@ class ModuleScore:
     score: float
 
 
-def collect_graphs(tm: TrainedModel, ds: Dataset, batch_size: int = 64):
+def collect_graphs(tm: TrainedModel, ds: Dataset):
     """Generated graph per sample, eval mode, encoder + generator only."""
     if not hasattr(tm.model, "graphs"):
         raise ValueError(
             f"pipeline '{tm.pipeline}' does not generate graphs; "
             "interpretation needs a learnable-graph checkpoint"
         )
-    xs, _, labels = _prepare_arrays(ds)
+    xs = _signals(ds)
     tm.model.set_training(False)
-    out = []
-    for start in range(0, len(labels), batch_size):
-        batch = xs[start : start + batch_size]
-        out.append(tm.model.graphs(Tensor(batch)).data)
-    return np.concatenate(out, axis=0), labels
+    out = [tm.model.graphs(Tensor(xs[batch])).data for batch in _eval_batches(ds.n)]
+    return np.concatenate(out, axis=0), ds.labels()
 
 
 def mean_graph(graphs) -> np.ndarray:

@@ -75,7 +75,6 @@ class GcnPredictor(_MlpHead):
     def __init__(self, cfg: GcnConfig, v: int, in_features: int, rng: np.random.Generator):
         cfg.validate()
         self.cfg = cfg
-        self.v = v
         dims = (in_features,) + cfg.widths
         self.gcn = [nn.Dense(dims[i], dims[i + 1], rng) for i in range(len(cfg.widths))]
         pooled = v * cfg.widths[-1] if cfg.pooling == "concat" else cfg.widths[-1]
@@ -106,10 +105,6 @@ class LearnableGraphModel(nn.Module):
     """Encoder -> graph generator -> GCN -> head; the full pipeline."""
 
     def __init__(self, encoder_cfg: EncoderConfig, gcn_cfg: GcnConfig, v: int, rng):
-        self.encoder_cfg = encoder_cfg
-        self.gcn_cfg = gcn_cfg
-        self.v = v
-        self.pipeline = f"fbnetgen-{encoder_cfg.kind}"
         self.encoder = build_encoder(encoder_cfg, rng)
         self.gcn = GcnPredictor(gcn_cfg, v, in_features=v, rng=rng)
 
@@ -130,10 +125,7 @@ class FixedGraphModel(nn.Module):
         if graph_kind not in ("uniform", "pearson"):
             raise ValueError(f"unknown fixed graph kind {graph_kind!r}")
         self.graph_kind = graph_kind
-        self.gcn_cfg = gcn_cfg
         self.v = v
-        self.pipeline = f"gnn-{graph_kind}"
-        self.encoder_cfg = None
         self.gcn = GcnPredictor(gcn_cfg, v, in_features=v, rng=rng)
 
     def forward(self, x, features):
@@ -150,10 +142,6 @@ class SequenceModel(_MlpHead):
     """Encoder embeddings concatenated straight into the MLP head; no graph."""
 
     def __init__(self, encoder_cfg: EncoderConfig, gcn_cfg: GcnConfig, v: int, rng):
-        self.encoder_cfg = encoder_cfg
-        self.gcn_cfg = gcn_cfg
-        self.v = v
-        self.pipeline = f"seq-{encoder_cfg.kind}"
         self.encoder = build_encoder(encoder_cfg, rng)
         self._build_head(v * encoder_cfg.dim, gcn_cfg, rng)
 

@@ -36,6 +36,7 @@ __all__ = [
     "cross_entropy",
     "total_loss",
     "train",
+    "train_splits",
     "evaluate",
     "run_seeds",
     "ablate",
@@ -181,61 +182,81 @@ def total_loss(logits: Tensor, labels, graphs, weights: LossWeights):
     return total, comps
 
 
+def _signals(ds: Dataset) -> np.ndarray:
+    """Stacked z-scored signals of a split."""
+    return np.stack([zscore_normalize(s.x) for s in ds.samples])
+
+
 def _prepare_arrays(ds: Dataset):
     """Stack (z-scored signals, Pearson features, labels) for a split."""
-    xs = np.stack([zscore_normalize(s.x) for s in ds.samples])
     feats = np.stack([pearson_features(s.x) for s in ds.samples])
-    labels = ds.labels()
-    return xs, feats, labels
+    return _signals(ds), feats, ds.labels()
 
 
-def _scores_from_logits(logits: np.ndarray) -> np.ndarray:
-    """Probability of class 1; the AUROC score for the binary task."""
-    probs = nn.softmax_rows(logits)
-    return probs[:, 1]
+# Rows per forward in an eval-mode pass: validation, `evaluate` and
+# `interpret.collect_graphs`.
+EVAL_BATCH = 64
 
 
-def _evaluate_arrays(tm: TrainedModel, xs, feats, labels, weights, batch_size=64,
-                     require_auroc=True) -> Metrics:
-    model = tm.model
-    model.set_training(False)
-    logits_all = []
-    comp_sums = {"ce": 0.0, "intra": 0.0, "inter": 0.0, "sparsity": 0.0}
-    n = len(labels)
-    for start in range(0, n, batch_size):
-        sl = slice(start, min(start + batch_size, n))
-        logits, graphs = model.forward(Tensor(xs[sl]), Tensor(feats[sl]))
-        _, comps = total_loss(logits, labels[sl], graphs, weights)
-        width = sl.stop - sl.start
-        for k in comp_sums:
-            comp_sums[k] += comps[k] * width
+def _eval_batches(n: int) -> list:
+    return [slice(start, start + EVAL_BATCH) for start in range(0, n, EVAL_BATCH)]
+
+
+def _run_batches(model, arrays, batches, weights: LossWeights, step=None) -> Metrics:
+    """Run `model` over `batches` of the (signals, features, labels) `arrays`
+    and reduce to Metrics: AUROC and accuracy over every row seen, loss
+    components averaged per sample.
+
+    With `step`, this is a training epoch: `step(batch_index, loss)` runs
+    after each forward. Without it, an eval-mode pass.
+    """
+    xs, feats, labels = arrays
+    model.set_training(step is not None)
+    logits_all, labels_all = [], []
+    sums = {"ce": 0.0, "intra": 0.0, "inter": 0.0, "sparsity": 0.0}
+    for b_idx, batch in enumerate(batches):
+        y = labels[batch]
+        logits, graphs = model.forward(Tensor(xs[batch]), Tensor(feats[batch]))
+        loss, comps = total_loss(logits, y, graphs, weights)
+        if step is not None:
+            step(b_idx, loss)
+        for k in sums:
+            sums[k] += comps[k] * len(y)
         logits_all.append(logits.data)
-    logits_all = np.concatenate(logits_all, axis=0)
-    classes_present = set(int(c) for c in labels)
-    if len(classes_present) < 2:
-        if require_auroc:
-            raise ValueError("evaluation split contains a single class; AUROC is undefined")
-        roc = float("nan")
-    else:
-        roc = auroc(_scores_from_logits(logits_all), labels)
+        labels_all.append(y)
+    logits_all = np.concatenate(logits_all)
+    labels_all = np.concatenate(labels_all)
+    n = len(labels_all)
     return Metrics(
-        auroc=roc,
-        accuracy=accuracy(logits_all, labels),
-        ce=comp_sums["ce"] / n,
-        intra=comp_sums["intra"] / n,
-        inter=comp_sums["inter"] / n,
-        sparsity=comp_sums["sparsity"] / n,
+        auroc=auroc(nn.softmax_rows(logits_all)[:, 1], labels_all),
+        accuracy=accuracy(logits_all, labels_all),
+        **{k: total / n for k, total in sums.items()},
     )
 
 
-def evaluate(tm: TrainedModel, ds: Dataset, require_auroc: bool = True) -> Metrics:
+def evaluate(tm: TrainedModel, ds: Dataset) -> Metrics:
     """AUROC, accuracy and mean loss components of a trained model on a split."""
     if ds.n == 0:
         raise ValueError("cannot evaluate on an empty split")
-    xs, feats, labels = _prepare_arrays(ds)
-    return _evaluate_arrays(
-        tm, xs, feats, labels, tm.config.loss, require_auroc=require_auroc
-    )
+    return _run_batches(tm.model, _prepare_arrays(ds), _eval_batches(ds.n), tm.config.loss)
+
+
+def train_splits(config: TrainConfig, ds: Dataset):
+    """`ds` split by `config.split` into (train, val, test), or ValueError
+    naming the ratio at fault: the training split must hold every class, and
+    the validation split both classes, since it selects the epoch by AUROC."""
+    spec = config.split
+    try:
+        parts = split(ds, spec)
+    except ValueError as exc:
+        raise ValueError(f"train.split.train {spec.train} (split seed {spec.seed}): {exc}") from exc
+    val_classes = sorted(set(parts[1].labels().tolist()))
+    if len(val_classes) < 2:
+        raise ValueError(
+            f"train.split.val {spec.val} (split seed {spec.seed}) gives a validation split of "
+            f"{parts[1].n} samples with classes {val_classes}; it needs both classes"
+        )
+    return parts
 
 
 def _batches(n: int, batch_size: int, rng: np.random.Generator):
@@ -275,40 +296,22 @@ def train(config: TrainConfig, ds: Dataset, pipeline: str | None = None):
         pipeline = f"fbnetgen-{config.encoder.kind}"
     gcn_cfg = replace(config.predictor, n_classes=len(ds.class_names))
 
-    train_ds, val_ds, test_ds = split(ds, config.split)
-    del test_ds  # the caller evaluates on it explicitly
-    xs_tr, feats_tr, y_tr = _prepare_arrays(train_ds)
-    xs_va, feats_va, y_va = _prepare_arrays(val_ds)
+    train_ds, val_ds, _ = train_splits(config, ds)
+    train_arrays, val_arrays = _prepare_arrays(train_ds), _prepare_arrays(val_ds)
 
     seeds = np.random.SeedSequence(config.seed).spawn(2)
     with nn.default_dtype(TRAIN_DTYPE):
         model = build_model(pipeline, config.encoder, gcn_cfg, v=ds.v,
                             seed=seeds[0].generate_state(1)[0])
         batch_rng = np.random.default_rng(seeds[1])
-        tm = TrainedModel(
-            model=model,
-            config=config,
-            pipeline=pipeline,
-            v=ds.v,
-            t=ds.t,
-            class_names=list(ds.class_names),
-        )
-
         optimizer = nn.Adam(
             model.named_params(), lr=config.lr, weight_decay=config.weight_decay
         )
-        n_train = len(y_tr)
         history_train, history_val = [], []
         best_auroc, best_epoch, best_state = -np.inf, -1, None
 
         for epoch in range(config.epochs):
-            model.set_training(True)
-            epoch_scores, epoch_labels = [], []
-            epoch_logits = []
-            comp_sums = {"ce": 0.0, "intra": 0.0, "inter": 0.0, "sparsity": 0.0}
-            for b_idx, batch in enumerate(_batches(n_train, config.batch_size, batch_rng)):
-                logits, graphs = model.forward(Tensor(xs_tr[batch]), Tensor(feats_tr[batch]))
-                loss, comps = total_loss(logits, y_tr[batch], graphs, config.loss)
+            def step(b_idx, loss):
                 if not np.isfinite(loss.data):
                     raise RuntimeError(
                         f"non-finite training loss at epoch {epoch}, batch {b_idx}"
@@ -316,25 +319,10 @@ def train(config: TrainConfig, ds: Dataset, pipeline: str | None = None):
                 optimizer.zero_grad()
                 loss.backward()
                 optimizer.step()
-                for k in comp_sums:
-                    comp_sums[k] += comps[k] * len(batch)
-                epoch_scores.append(_scores_from_logits(logits.data))
-                epoch_logits.append(logits.data)
-                epoch_labels.append(y_tr[batch])
 
-            scores = np.concatenate(epoch_scores)
-            labels = np.concatenate(epoch_labels)
-            logits_np = np.concatenate(epoch_logits)
-            train_metrics = Metrics(
-                auroc=auroc(scores, labels),
-                accuracy=accuracy(logits_np, labels),
-                ce=comp_sums["ce"] / n_train,
-                intra=comp_sums["intra"] / n_train,
-                inter=comp_sums["inter"] / n_train,
-                sparsity=comp_sums["sparsity"] / n_train,
-            )
-            val_metrics = _evaluate_arrays(tm, xs_va, feats_va, y_va, config.loss)
-            history_train.append(train_metrics)
+            batches = _batches(train_ds.n, config.batch_size, batch_rng)
+            history_train.append(_run_batches(model, train_arrays, batches, config.loss, step))
+            val_metrics = _run_batches(model, val_arrays, _eval_batches(val_ds.n), config.loss)
             history_val.append(val_metrics)
             if val_metrics.auroc > best_auroc:
                 best_auroc = val_metrics.auroc
@@ -346,6 +334,14 @@ def train(config: TrainConfig, ds: Dataset, pipeline: str | None = None):
     for _, p in model.named_params():
         p.data = p.data.astype(np.float64)
     model.set_training(False)
+    tm = TrainedModel(
+        model=model,
+        config=config,
+        pipeline=pipeline,
+        v=ds.v,
+        t=ds.t,
+        class_names=list(ds.class_names),
+    )
     history = TrainHistory(train=history_train, val=history_val, selected_epoch=best_epoch)
     return tm, history
 

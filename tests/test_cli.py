@@ -101,12 +101,6 @@ class TestTrain:
         history = (out / "history.csv").read_text().strip().split("\n")
         assert len(history) == 1 + 4
 
-    def test_rerun_is_byte_identical_outside_log(self, tmp_path):
-        cfg = write_config(tmp_path, base_config(tmp_path))
-        main(["train", "--config", cfg, "--out", str(tmp_path / "a"), "--seed", "5"])
-        main(["train", "--config", cfg, "--out", str(tmp_path / "b"), "--seed", "5"])
-        assert read_bytes_without_log(tmp_path / "a") == read_bytes_without_log(tmp_path / "b")
-
     def test_pipeline_from_config(self, tmp_path):
         raw = base_config(tmp_path, pipeline="seq-gru")
         cfg = write_config(tmp_path, raw)
@@ -210,6 +204,10 @@ class TestConfigValidation:
             (("seeds",), [True], "seeds True"),
             (("seeds",), [-1], "seeds -1"),
             (("train", "split"), {"train": 0.8, "val": 0, "test": 0.2}, "train.split.val"),
+            (("train", "split"), {"train": 0.9, "val": 0.01, "test": 0.09}, "train.split.val"),
+            (("train", "split"), {"train": 0.8, "val": 0.07, "test": 0.13}, "train.split.val"),
+            (("train", "split"), {"train": 0.05, "val": 0.475, "test": 0.475},
+             "train.split.train"),
         ],
     )
     def test_malformed_value_exits_2(self, tmp_path, capsys, path, value, key):
@@ -291,21 +289,29 @@ class TestHarnessCommands:
         cfg = write_config(tmp_path, base_config(tmp_path))
         assert main(["sweep", "--config", cfg]) == 2
 
-    def test_ablate_rerun_is_byte_identical(self, tmp_path):
-        raw = base_config(tmp_path)
-        raw["train"]["epochs"] = 1
-        cfg = write_config(tmp_path, raw)
-        main(["ablate", "--config", cfg, "--out", str(tmp_path / "a")])
-        main(["ablate", "--config", cfg, "--out", str(tmp_path / "b")])
-        assert read_bytes_without_log(tmp_path / "a") == read_bytes_without_log(tmp_path / "b")
 
-    def test_sweep_rerun_is_byte_identical(self, tmp_path):
+class TestRerun:
+    @pytest.mark.parametrize(
+        "command,interpret_split",
+        [("train", None), ("compare", None), ("ablate", None), ("sweep", None),
+         ("interpret", "all"), ("interpret", "test")],
+        ids=["train", "compare", "ablate", "sweep", "interpret-all", "interpret-test"],
+    )
+    def test_rerun_is_byte_identical_outside_log(self, tmp_path, command, interpret_split):
         raw = base_config(tmp_path, sweep={"windows": [8], "dims": [4]})
-        raw["train"]["epochs"] = 1
+        raw["dataset"]["synth"]["t"] = 40  # cnn branch needs t >= window + 28
+        if interpret_split is not None:
+            raw["interpret"] = {"split": interpret_split}
         cfg = write_config(tmp_path, raw)
-        main(["sweep", "--config", cfg, "--out", str(tmp_path / "a")])
-        main(["sweep", "--config", cfg, "--out", str(tmp_path / "b")])
-        assert read_bytes_without_log(tmp_path / "a") == read_bytes_without_log(tmp_path / "b")
+        extra = []
+        if command == "interpret":
+            assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+            extra = ["--checkpoint", str(tmp_path / "run" / "checkpoint.json")]
+        for out in ("a", "b"):
+            args = [command, "--config", cfg, "--out", str(tmp_path / out), "--seed", "5"]
+            assert main(args + extra) == 0
+        first = read_bytes_without_log(tmp_path / "a")
+        assert first and first == read_bytes_without_log(tmp_path / "b")
 
 
 class TestInterpretCommand:

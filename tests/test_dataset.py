@@ -219,6 +219,33 @@ class TestRoundTrip:
         with pytest.raises(DatasetError, match="binary"):
             load_dataset(tmp_path / "d")
 
+    @pytest.mark.parametrize(
+        "mutate,key",
+        [
+            (lambda m: m["samples"][1].pop("id"), "samples[1] has no 'id'"),
+            (lambda m: m["samples"][1].pop("label"), "samples[1] has no 'label'"),
+            (lambda m: m["samples"][1].pop("file"), "samples[1] has no 'file'"),
+            (lambda m: m.update(v="x"), "'v'"),
+            (lambda m: m["samples"][1].update(label="a"), "samples[1].label"),
+            (lambda m: m["samples"][1].update(label=0.7), "samples[1].label"),
+            (lambda m: m["samples"].__setitem__(1, 5), "samples[1]"),
+            (lambda m: m.update(samples=5), "'samples'"),
+            (lambda m: m.update(classes="ab"), "'classes'"),
+            (lambda m: m["samples"][1].update(id="s0"), "samples 0 and 1 share the id 's0'"),
+        ],
+        ids=["no-id", "no-label", "no-file", "v-string", "label-string", "label-float",
+             "entry-not-object", "samples-not-list", "classes-string", "duplicate-id"],
+    )
+    def test_malformed_manifest_entry_names_key(self, tmp_path, mutate, key):
+        write_dataset(small_dataset(), tmp_path / "d")
+        path = tmp_path / "d" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        mutate(manifest)
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(DatasetError) as exc:
+            load_dataset(tmp_path / "d")
+        assert str(path) in str(exc.value) and key in str(exc.value)
+
     def test_non_finite_value_reported(self, tmp_path):
         ds = small_dataset()
         write_dataset(ds, tmp_path / "d")
@@ -303,6 +330,13 @@ class TestValidation:
         ds.partition = ModulePartition({"a": [0, 9]})
         with pytest.raises(DatasetError, match="outside"):
             ds.validate()
+
+    def test_duplicate_sample_id_rejected_before_writing(self, tmp_path):
+        ds = small_dataset()
+        ds.samples[3].id = "s1"
+        with pytest.raises(DatasetError, match="samples 1 and 3 share the id 's1'"):
+            write_dataset(ds, tmp_path / "d")
+        assert not (tmp_path / "d").exists()
 
     def test_missing_class_rejected(self):
         ds = small_dataset()

@@ -43,7 +43,7 @@ class TestGruEncoder:
     def test_segments_and_readout_width(self):
         enc = GruEncoder(EncoderConfig(kind="gru", window=32, dim=8), np.random.default_rng(0))
         assert enc.segment_count(512) == 16
-        assert enc.readout_width == 64
+        assert enc.out.w.data.shape == (64, 8)  # the 2 * window readout feeds the dense map
         out = enc(Tensor(rand_input(1, 3, 512)))
         assert out.shape == (1, 3, 8)
 

@@ -205,6 +205,20 @@ class TestTrain:
         with pytest.raises(ValueError, match="train.split.val"):
             train(cfg, tiny_dataset())
 
+    @pytest.mark.parametrize(
+        "ratios,key",
+        [((0.9, 0.01, 0.09), "train.split.val"), ((0.8, 0.07, 0.13), "train.split.val"),
+         ((0.05, 0.475, 0.475), "train.split.train")],
+        ids=["empty-val", "one-class-val", "one-class-train"],
+    )
+    def test_degenerate_split_rejected_before_training(self, monkeypatch, ratios, key):
+        import netgen.training as training_mod
+
+        monkeypatch.setattr(training_mod, "build_model", None)  # no model gets built
+        cfg = tiny_config(split=SplitSpec(*ratios, seed=0))
+        with pytest.raises(ValueError, match=key):
+            train(cfg, tiny_dataset(n=16))
+
     def test_split_leaving_class_out_rejected(self):
         ds = tiny_dataset(n=24)
         cfg = tiny_config(split=SplitSpec(0.05, 0.475, 0.475, seed=0))
@@ -243,11 +257,8 @@ class TestEvaluate:
             partition=ds.partition,
             class_names=ds.class_names,
         )
-        with pytest.raises(ValueError, match="single class"):
+        with pytest.raises(ValueError, match="both classes"):
             evaluate(tm, single)
-        metrics = evaluate(tm, single, require_auroc=False)
-        assert np.isnan(metrics.auroc)
-        assert 0.0 <= metrics.accuracy <= 1.0
 
     def test_deterministic(self):
         ds = tiny_dataset()
