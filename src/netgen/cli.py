@@ -145,6 +145,8 @@ def _parse_config(raw: dict, path: str) -> ExperimentConfig:
     _object(raw, _TOP_LEVEL, path)
     dataset = _object(raw.get("dataset"), ("path", "synth"), "dataset")
     dataset_path = dataset.get("path")
+    _require(dataset_path is None or isinstance(dataset_path, str),
+             f"dataset.path must be a JSON string, got {dataset_path!r}")
     synth_raw = dataset.get("synth")
     _require(
         (dataset_path is None) != (synth_raw is None),
@@ -238,12 +240,20 @@ def _check_series_length(cfg: ExperimentConfig, ds: Dataset, pipelines=(None,), 
 
 
 def _check_splits(cfg: ExperimentConfig, ds: Dataset, seeds) -> None:
-    """Reject up front every seed whose split `train` would refuse."""
+    """Reject up front every seed whose split `train` would refuse, or whose
+    test split cannot be scored: AUROC needs both classes."""
     for seed in seeds:
+        run_cfg = cfg.train_cfg.seeded(seed)
         try:
-            train_splits(cfg.train_cfg.seeded(seed), ds)
+            _, _, test = train_splits(run_cfg, ds)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        classes = sorted(set(test.labels().tolist()))
+        _require(
+            len(classes) >= 2,
+            f"train.split.test {run_cfg.split.test} (split seed {seed}) gives a test split of "
+            f"{test.n} samples with classes {classes}; it needs both classes",
+        )
 
 
 class _RunLog:

@@ -364,17 +364,30 @@ def write_dataset(ds: Dataset, path) -> None:
     (root / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
 
 
+def _read_text(path: Path) -> str:
+    """The text of `path`, or DatasetError naming it."""
+    try:
+        return path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DatasetError(f"{path}: cannot read as text ({exc})") from exc
+
+
 def _read_sample_file(path: Path, v: int, t: int, sample_id: str) -> np.ndarray:
     if not path.exists():
         raise DatasetError(f"sample file '{path}' referenced by manifest does not exist")
     rows = []
-    text = path.read_text().strip("\n")
+    text = _read_text(path).strip("\n")
     for lineno, line in enumerate(text.split("\n"), start=1):
         parts = line.split(",")
         try:
             rows.append([float(p) for p in parts])
         except ValueError as exc:
             raise DatasetError(f"{path}:{lineno}: unparseable value ({exc})") from exc
+        if len(parts) != t:
+            raise DatasetError(
+                f"{path}:{lineno}: sample '{sample_id}' has {len(parts)} values on this line, "
+                f"manifest declares t={t}"
+            )
     x = np.array(rows, dtype=np.float64)
     if x.shape != (v, t):
         raise DatasetError(
@@ -401,7 +414,7 @@ def load_dataset(path) -> Dataset:
     if not manifest_path.exists():
         raise DatasetError(f"no manifest.json under '{root}'")
     try:
-        manifest = json.loads(manifest_path.read_text())
+        manifest = json.loads(_read_text(manifest_path))
     except json.JSONDecodeError as exc:
         raise DatasetError(f"{manifest_path}: malformed JSON ({exc})") from exc
     _typed(manifest, dict, str(manifest_path))
@@ -433,7 +446,7 @@ def load_dataset(path) -> Dataset:
     if not modules_path.exists():
         raise DatasetError(f"modules file '{modules_path}' does not exist")
     modules: dict = {}
-    text = modules_path.read_text().strip("\n")
+    text = _read_text(modules_path).strip("\n")
     for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
@@ -443,8 +456,12 @@ def load_dataset(path) -> Dataset:
         except ValueError as exc:
             raise DatasetError(f"{modules_path}:{lineno}: expected 'roi_index,module_name'") from exc
         modules.setdefault(name.strip(), []).append(roi)
+    try:
+        partition = ModulePartition(modules)
+    except DatasetError as exc:
+        raise DatasetError(f"{modules_path}: {exc}") from exc
 
-    ds = Dataset(samples=samples, partition=ModulePartition(modules), class_names=class_names)
+    ds = Dataset(samples=samples, partition=partition, class_names=class_names)
     try:
         ds.validate()
     except DatasetError as exc:

@@ -20,11 +20,8 @@ from .nncore import Tensor
 
 __all__ = [
     "LossWeights",
-    "GroupStats",
     "generate_graph",
-    "group_stats",
-    "group_intra_loss",
-    "group_inter_loss",
+    "group_losses",
     "sparsity_loss",
     "group_intra_loss_oracle",
     "group_inter_loss_oracle",
@@ -56,57 +53,35 @@ def generate_graph(h_e) -> Tensor:
     return h_a @ h_a.swapaxes(-1, -2)
 
 
-@dataclass
-class GroupStats:
-    """Per-class batch statistics of generated graphs (differentiable)."""
+def group_losses(graphs, labels) -> tuple:
+    """(intra, inter) group regularizers of a (n, v, v) batch of graphs.
 
-    classes: list
-    counts: dict
-    means: dict  # class -> Tensor (v, v)
-    variances: dict  # class -> scalar Tensor, mean squared Frobenius deviation
-
-
-def group_stats(graphs, labels) -> GroupStats:
-    """Mean graph and mean squared deviation per class present in the batch."""
+    One pass over the classes present, in sorted order: intra sums each
+    class's mean squared Frobenius deviation from its mean graph (always
+    >= 0); inter is the negative sum of squared mean-graph distances over
+    ordered class pairs. A batch with fewer than two classes has inter 0
+    (logged once per call).
+    """
     graphs = nn.as_tensor(graphs)
     if graphs.ndim != 3 or graphs.shape[0] == 0:
         raise ValueError(f"expected a non-empty (n, v, v) batch, got shape {graphs.shape}")
     labels = np.asarray(labels, dtype=np.int64)
-    classes = sorted(set(int(c) for c in labels))
-    counts, means, variances = {}, {}, {}
-    for c in classes:
-        idx = np.flatnonzero(labels == c)
-        members = graphs[idx]
+    means = []
+    intra = Tensor(0.0)
+    for c in sorted(set(int(c) for c in labels)):
+        members = graphs[np.flatnonzero(labels == c)]
         mu = members.mean(axis=0)
         centered = members - mu
-        var = (centered * centered).sum(axis=(1, 2)).mean()
-        counts[c] = len(idx)
-        means[c] = mu
-        variances[c] = var
-    return GroupStats(classes=classes, counts=counts, means=means, variances=variances)
-
-
-def group_intra_loss(stats: GroupStats) -> Tensor:
-    """Sum over classes of the within-class graph variance; always >= 0."""
-    total = Tensor(0.0)
-    for c in stats.classes:
-        total = total + stats.variances[c]
-    return total
-
-
-def group_inter_loss(stats: GroupStats) -> Tensor:
-    """Negative sum of squared mean-graph distances over ordered class pairs.
-
-    A batch with fewer than two classes contributes 0 (logged once per call).
-    """
-    if len(stats.classes) < 2:
+        intra = intra + (centered * centered).sum(axis=(1, 2)).mean()
+        means.append(mu)
+    if len(means) < 2:
         log.info("group inter loss skipped: batch contains a single class")
-        return Tensor(0.0)
-    total = Tensor(0.0)
-    for a, b in itertools.permutations(stats.classes, 2):
-        diff = stats.means[a] - stats.means[b]
-        total = total + (diff * diff).sum()
-    return -total
+        return intra, Tensor(0.0)
+    inter = Tensor(0.0)
+    for a, b in itertools.permutations(means, 2):
+        diff = a - b
+        inter = inter + (diff * diff).sum()
+    return intra, -inter
 
 
 def sparsity_loss(graph) -> Tensor:

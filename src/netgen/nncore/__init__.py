@@ -5,15 +5,12 @@ from .tensor import (
     default_dtype,
     concat,
     conv1d,
-    gru_cell,
     gru_direction,
     log_softmax,
     max_last,
     relu,
     softmax,
     softmax_rows,
-    tanh,
-    zeros,
 )
 from .layers import BatchNorm1d, Conv1d, Dense, GruCell, Module
 from .optim import Adam
@@ -36,7 +33,6 @@ __all__ = [
     "conv1d",
     "default_dtype",
     "gradient_check",
-    "gru_cell",
     "gru_direction",
     "load_checkpoint",
     "log_softmax",
@@ -45,6 +41,4 @@ __all__ = [
     "save_checkpoint",
     "softmax",
     "softmax_rows",
-    "tanh",
-    "zeros",
 ]

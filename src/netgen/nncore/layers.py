@@ -1,15 +1,16 @@
 """Parameterized layers with exact gradients, and the `Module` base they share.
 
-Layer set: dense, conv1d, batch norm, GRU cell. Initialization is fully
-seeded: dense/conv weights uniform in +-sqrt(6/(fan_in+fan_out)) with zero
-biases, GRU weights uniform in +-sqrt(1/hidden) with zero biases.
+Layer set: dense, conv1d, batch norm, and the GRU weights that
+`gru_direction` runs. Initialization is fully seeded: dense/conv weights
+uniform in +-sqrt(6/(fan_in+fan_out)) with zero biases, GRU weights uniform
+in +-sqrt(1/hidden) with zero biases.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .checkpoint import check_shapes
-from .tensor import Param, Tensor, as_tensor, conv1d, gru_cell
+from .tensor import Param, Tensor, as_tensor, conv1d
 
 __all__ = ["Module", "Dense", "Conv1d", "BatchNorm1d", "GruCell"]
 
@@ -140,7 +141,8 @@ class BatchNorm1d(Module):
 
 
 class GruCell(Module):
-    """Single GRU step; hidden state width `hidden`."""
+    """Weights of one GRU direction, hidden state width `hidden`; the
+    recurrence itself is `gru_direction`."""
 
     def __init__(self, n_in: int, hidden: int, rng: np.random.Generator):
         bound = np.sqrt(1.0 / hidden)
@@ -148,6 +150,3 @@ class GruCell(Module):
         self.w_hh = Param(rng.uniform(-bound, bound, size=(hidden, 3 * hidden)))
         self.b_ih = Param(np.zeros(3 * hidden))
         self.b_hh = Param(np.zeros(3 * hidden))
-
-    def __call__(self, x, h) -> Tensor:
-        return gru_cell(x, h, self.w_ih, self.w_hh, self.b_ih, self.b_hh)

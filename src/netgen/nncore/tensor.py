@@ -17,11 +17,9 @@ __all__ = [
     "Param",
     "as_tensor",
     "default_dtype",
-    "zeros",
     "add",
     "sub",
     "mul",
-    "div",
     "power",
     "matmul",
     "take",
@@ -31,13 +29,11 @@ __all__ = [
     "tsum",
     "tmean",
     "relu",
-    "tanh",
     "softmax",
     "log_softmax",
     "softmax_rows",
     "max_last",
     "conv1d",
-    "gru_cell",
     "gru_direction",
 ]
 
@@ -142,17 +138,8 @@ class Tensor:
     def __sub__(self, other):
         return sub(self, other)
 
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __neg__(self):
         return mul(self, -1.0)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
 
     def __pow__(self, exponent):
         return power(self, exponent)
@@ -189,10 +176,6 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def zeros(shape) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=_DEFAULT_DTYPE))
-
-
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = a.data + b.data
@@ -221,19 +204,6 @@ def mul(a, b) -> Tensor:
         return (
             _unbroadcast(g * b.data, a.data.shape),
             _unbroadcast(g * a.data, b.data.shape),
-        )
-
-    return Tensor(out, (a, b), bw)
-
-
-def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = a.data / b.data
-
-    def bw(g):
-        return (
-            _unbroadcast(g / b.data, a.data.shape),
-            _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape),
         )
 
     return Tensor(out, (a, b), bw)
@@ -358,16 +328,6 @@ def relu(x) -> Tensor:
 
     def bw(g):
         return (g * mask,)
-
-    return Tensor(out, (x,), bw)
-
-
-def tanh(x) -> Tensor:
-    x = as_tensor(x)
-    out = np.tanh(x.data)
-
-    def bw(g):
-        return (g * (1.0 - out * out),)
 
     return Tensor(out, (x,), bw)
 
@@ -510,36 +470,3 @@ def gru_direction(x_seq, w_ih, w_hh, b_ih, b_hh, reverse: bool = False) -> Tenso
 
     return Tensor(out, (x, w_ih, w_hh, b_ih, b_hh), bw)
 
-
-def gru_cell(x, h, w_ih, w_hh, b_ih, b_hh) -> Tensor:
-    """One GRU step as a fused primitive.
-
-    x: (B, in), h: (B, H), w_ih: (in, 3H), w_hh: (H, 3H), biases (3H,).
-    Gate column layout is [reset | update | candidate].
-    """
-    x, h = as_tensor(x), as_tensor(h)
-    w_ih, w_hh, b_ih, b_hh = map(as_tensor, (w_ih, w_hh, b_ih, b_hh))
-    hidden = h.data.shape[-1]
-    gx = x.data @ w_ih.data + b_ih.data
-    gh = h.data @ w_hh.data + b_hh.data
-    r = 1.0 / (1.0 + np.exp(-(gx[:, :hidden] + gh[:, :hidden])))
-    z = 1.0 / (1.0 + np.exp(-(gx[:, hidden : 2 * hidden] + gh[:, hidden : 2 * hidden])))
-    gh_n = gh[:, 2 * hidden :]
-    n_pre = gx[:, 2 * hidden :] + r * gh_n
-    n = np.tanh(n_pre)
-    out = (1.0 - z) * n + z * h.data
-
-    def bw(g):
-        dn = g * (1.0 - z)
-        dz_pre = g * (h.data - n) * z * (1.0 - z)
-        da_n = dn * (1.0 - n * n)
-        dr_pre = da_n * gh_n * r * (1.0 - r)
-        dgx = np.concatenate([dr_pre, dz_pre, da_n], axis=1)
-        dgh = np.concatenate([dr_pre, dz_pre, da_n * r], axis=1)
-        dx = dgx @ w_ih.data.T
-        dh = dgh @ w_hh.data.T + g * z
-        dw_ih = x.data.T @ dgx
-        dw_hh = h.data.T @ dgh
-        return dx, dh, dw_ih, dw_hh, dgx.sum(axis=0), dgh.sum(axis=0)
-
-    return Tensor(out, (x, h, w_ih, w_hh, b_ih, b_hh), bw)

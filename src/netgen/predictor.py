@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nncore as nn
-from .dataset import pearson_features
 from .encoders import EncoderConfig, build_encoder
 from .graphgen import generate_graph
 from .nncore import Tensor
@@ -21,7 +20,6 @@ __all__ = [
     "GcnConfig",
     "GcnPredictor",
     "build_uniform_graph",
-    "build_pearson_graph",
     "LearnableGraphModel",
     "FixedGraphModel",
     "SequenceModel",
@@ -50,11 +48,6 @@ class GcnConfig:
 def build_uniform_graph(v: int) -> np.ndarray:
     """All-ones adjacency, the node-feature-only control graph."""
     return np.ones((v, v))
-
-
-def build_pearson_graph(x: np.ndarray) -> np.ndarray:
-    """Raw Pearson matrix as adjacency, signed weights kept on purpose."""
-    return pearson_features(x)
 
 
 class _MlpHead(nn.Module):

@@ -16,13 +16,7 @@ import numpy as np
 from . import nncore as nn
 from .dataset import Dataset, SplitSpec, pearson_features, split, zscore_normalize
 from .encoders import EncoderConfig
-from .graphgen import (
-    LossWeights,
-    group_inter_loss,
-    group_intra_loss,
-    group_stats,
-    sparsity_loss,
-)
+from .graphgen import LossWeights, group_losses, sparsity_loss
 from .nncore import Tensor
 from .predictor import GcnConfig, PIPELINES, build_model
 
@@ -168,9 +162,7 @@ def total_loss(logits: Tensor, labels, graphs, weights: LossWeights):
     if graphs is None:
         comps = {"ce": ce.item(), "intra": 0.0, "inter": 0.0, "sparsity": 0.0}
         return ce, comps
-    stats = group_stats(graphs, labels)
-    intra = group_intra_loss(stats)
-    inter = group_inter_loss(stats)
+    intra, inter = group_losses(graphs, labels)
     spars = sparsity_loss(graphs)
     total = ce + weights.alpha * intra + weights.beta * inter + weights.gamma * spars
     comps = {

@@ -26,11 +26,9 @@ from netgen.encoders import EncoderConfig
 from netgen.graphgen import (
     LossWeights,
     generate_graph,
-    group_inter_loss,
     group_inter_loss_oracle,
-    group_intra_loss,
     group_intra_loss_oracle,
-    group_stats,
+    group_losses,
     sparsity_loss,
 )
 from netgen.interpret import collect_graphs, edge_ttest, module_difference_scores
@@ -93,10 +91,10 @@ def test_criterion_loss_identity_oracles():
         labels = np.concatenate(
             [np.arange(n_classes), rng.integers(0, n_classes, n - n_classes)]
         )
-        stats = group_stats(Tensor(graphs), labels)
+        intra, inter = group_losses(Tensor(graphs), labels)
         for fast, oracle in (
-            (group_intra_loss(stats).item(), group_intra_loss_oracle(graphs, labels)),
-            (group_inter_loss(stats).item(), group_inter_loss_oracle(graphs, labels)),
+            (intra.item(), group_intra_loss_oracle(graphs, labels)),
+            (inter.item(), group_inter_loss_oracle(graphs, labels)),
         ):
             rel = abs(fast - oracle) / max(abs(oracle), 1e-12)
             worst = max(worst, rel)
@@ -179,8 +177,7 @@ def test_criterion_hand_checked_values():
     sparsity = sparsity_loss(Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))).item()
     assert abs(sparsity - 0.5) <= 1e-12
 
-    stats = group_stats(Tensor(np.array([[[0.0]], [[2.0]]])), [0, 1])
-    inter = group_inter_loss(stats).item()
+    inter = group_losses(Tensor(np.array([[[0.0]], [[2.0]]])), [0, 1])[1].item()
     assert abs(inter - (-8.0)) <= 1e-12
 
     partition = ModulePartition({"u": [0, 1]})

@@ -208,6 +208,9 @@ class TestConfigValidation:
             (("train", "split"), {"train": 0.8, "val": 0.07, "test": 0.13}, "train.split.val"),
             (("train", "split"), {"train": 0.05, "val": 0.475, "test": 0.475},
              "train.split.train"),
+            (("train", "split"), {"train": 0.75, "val": 0.25, "test": 0.0}, "train.split.test"),
+            (("train", "split"), {"train": 0.8, "val": 0.13, "test": 0.07}, "train.split.test"),
+            (("dataset",), {"path": 5}, "dataset.path"),
         ],
     )
     def test_malformed_value_exits_2(self, tmp_path, capsys, path, value, key):

@@ -22,6 +22,9 @@ from netgen.dataset import (
 )
 
 
+MANIFEST = "manifest.json"
+
+
 def small_dataset(n=6, v=4, t=8, seed=0):
     rng = np.random.default_rng(seed)
     samples = [
@@ -220,31 +223,44 @@ class TestRoundTrip:
             load_dataset(tmp_path / "d")
 
     @pytest.mark.parametrize(
-        "mutate,key",
+        "mutate,where,key",
         [
-            (lambda m: m["samples"][1].pop("id"), "samples[1] has no 'id'"),
-            (lambda m: m["samples"][1].pop("label"), "samples[1] has no 'label'"),
-            (lambda m: m["samples"][1].pop("file"), "samples[1] has no 'file'"),
-            (lambda m: m.update(v="x"), "'v'"),
-            (lambda m: m["samples"][1].update(label="a"), "samples[1].label"),
-            (lambda m: m["samples"][1].update(label=0.7), "samples[1].label"),
-            (lambda m: m["samples"].__setitem__(1, 5), "samples[1]"),
-            (lambda m: m.update(samples=5), "'samples'"),
-            (lambda m: m.update(classes="ab"), "'classes'"),
-            (lambda m: m["samples"][1].update(id="s0"), "samples 0 and 1 share the id 's0'"),
+            (lambda m, d: m["samples"][1].pop("id"), MANIFEST, "samples[1] has no 'id'"),
+            (lambda m, d: m["samples"][1].pop("label"), MANIFEST, "samples[1] has no 'label'"),
+            (lambda m, d: m["samples"][1].pop("file"), MANIFEST, "samples[1] has no 'file'"),
+            (lambda m, d: m.update(v="x"), MANIFEST, "'v'"),
+            (lambda m, d: m["samples"][1].update(label="a"), MANIFEST, "samples[1].label"),
+            (lambda m, d: m["samples"][1].update(label=0.7), MANIFEST, "samples[1].label"),
+            (lambda m, d: m["samples"].__setitem__(1, 5), MANIFEST, "samples[1]"),
+            (lambda m, d: m.update(samples=5), MANIFEST, "'samples'"),
+            (lambda m, d: m.update(classes="ab"), MANIFEST, "'classes'"),
+            (lambda m, d: m["samples"][1].update(id="s0"), MANIFEST,
+             "samples 0 and 1 share the id 's0'"),
+            (lambda m, d: (d / "samples" / "s1.csv").write_text("1,2,3,4,5,6,7,8\n1,2,3,4,5,6,7\n"),
+             "samples/s1.csv:2", "sample 's1' has 7 values"),
+            (lambda m, d: m["samples"][1].update(file="samples"), "samples", "cannot read"),
+            (lambda m, d: m.update(modules_file="samples"), "samples", "cannot read"),
+            (lambda m, d: (d / "samples" / "s1.csv").write_bytes(b"\xff\xfe0.5\n"),
+             "samples/s1.csv", "cannot read"),
+            (lambda m, d: (d / "modules.csv").write_text("0,a\n1,a\n2,b\n3,b\n0,b\n"),
+             "modules.csv", "module 'b' overlaps another module on ROIs [0]"),
+            (lambda m, d: (d / "modules.csv").write_text("0,a\n1,a\n1,a\n2,b\n3,b\n"),
+             "modules.csv", "module 'a' repeats an ROI index"),
         ],
         ids=["no-id", "no-label", "no-file", "v-string", "label-string", "label-float",
-             "entry-not-object", "samples-not-list", "classes-string", "duplicate-id"],
+             "entry-not-object", "samples-not-list", "classes-string", "duplicate-id",
+             "ragged-row", "sample-file-is-dir", "modules-file-is-dir", "sample-not-utf8",
+             "module-overlap", "module-repeat"],
     )
-    def test_malformed_manifest_entry_names_key(self, tmp_path, mutate, key):
+    def test_malformed_manifest_entry_names_key(self, tmp_path, mutate, where, key):
         write_dataset(small_dataset(), tmp_path / "d")
-        path = tmp_path / "d" / "manifest.json"
+        path = tmp_path / "d" / MANIFEST
         manifest = json.loads(path.read_text())
-        mutate(manifest)
+        mutate(manifest, tmp_path / "d")
         path.write_text(json.dumps(manifest))
         with pytest.raises(DatasetError) as exc:
             load_dataset(tmp_path / "d")
-        assert str(path) in str(exc.value) and key in str(exc.value)
+        assert str(tmp_path / "d" / where) in str(exc.value) and key in str(exc.value)
 
     def test_non_finite_value_reported(self, tmp_path):
         ds = small_dataset()

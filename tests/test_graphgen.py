@@ -9,11 +9,9 @@ from netgen import nncore as nn
 from netgen.graphgen import (
     LossWeights,
     generate_graph,
-    group_inter_loss,
     group_inter_loss_oracle,
-    group_intra_loss,
     group_intra_loss_oracle,
-    group_stats,
+    group_losses,
     sparsity_loss,
 )
 from netgen.nncore import Param, Tensor
@@ -75,38 +73,40 @@ class TestGenerateGraph:
 class TestGroupStats:
     def test_identical_graphs_zero_variance(self):
         g = np.ones((3, 2, 2)) * 0.4
-        stats = group_stats(Tensor(g), [0, 0, 0])
-        assert stats.variances[0].item() == 0.0
+        intra, _ = group_losses(Tensor(g), [0, 0, 0])
+        assert intra.item() == 0.0
 
     def test_hand_checked_one_by_one(self):
-        g = np.array([[[0.0]], [[2.0]]])
-        stats = group_stats(Tensor(g), [0, 0])
-        assert stats.means[0].item() == 1.0
-        assert stats.variances[0].item() == 1.0
+        # class 0 {[[0]], [[2]]} has mean [[1]] and variance 1; class 1 is
+        # that mean, so it adds no variance and no mean distance
+        g = np.array([[[0.0]], [[2.0]], [[1.0]]])
+        intra, inter = group_losses(Tensor(g), [0, 0, 1])
+        assert inter.item() == 0.0
+        assert intra.item() == 1.0
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=100)
     def test_variance_non_negative(self, seed):
         graphs, labels = random_graph_batch(8, 3, 2, 2, seed)
-        stats = group_stats(Tensor(graphs), labels)
-        for c in stats.classes:
-            assert stats.variances[c].item() >= 0.0
+        for c in (0, 1):
+            intra, _ = group_losses(Tensor(graphs[labels == c]), labels[labels == c])
+            assert intra.item() >= 0.0
 
 
 class TestIntraLoss:
     def test_identical_graphs_inside_classes_gives_zero(self):
         g = np.concatenate([np.full((2, 2, 2), 0.25), np.full((3, 2, 2), 0.75)])
         labels = [0, 0, 1, 1, 1]
-        assert group_intra_loss(group_stats(Tensor(g), labels)).item() == 0.0
+        assert group_losses(Tensor(g), labels)[0].item() == 0.0
 
     def test_hand_checked_value(self):
         g = np.array([[[0.0]], [[2.0]]])
-        assert group_intra_loss(group_stats(Tensor(g), [0, 0])).item() == 1.0
+        assert group_losses(Tensor(g), [0, 0])[0].item() == 1.0
 
     def test_always_non_negative_and_matches_direct_definition(self):
         for seed in range(50):
             graphs, labels = random_graph_batch(10, 4, 3, 2, seed)
-            fast = group_intra_loss(group_stats(Tensor(graphs), labels)).item()
+            fast = group_losses(Tensor(graphs), labels)[0].item()
             assert fast >= 0.0
             direct = 0.0
             for c in (0, 1):
@@ -119,7 +119,7 @@ class TestIntraLoss:
         rng = np.random.default_rng(0)
         h = Param(rng.standard_normal((4, 3, 2)))
         err = nn.gradient_check(
-            lambda: group_intra_loss(group_stats(generate_graph(h), [0, 1, 0, 1])),
+            lambda: group_losses(generate_graph(h), [0, 1, 0, 1])[0],
             [("h", h)],
             seed=0,
         )
@@ -129,30 +129,30 @@ class TestIntraLoss:
 class TestInterLoss:
     def test_equal_means_give_zero(self):
         g = np.concatenate([np.full((2, 2, 2), 0.5), np.full((2, 2, 2), 0.5)])
-        assert group_inter_loss(group_stats(Tensor(g), [0, 0, 1, 1])).item() == 0.0
+        assert group_losses(Tensor(g), [0, 0, 1, 1])[1].item() == 0.0
 
     def test_hand_checked_ordered_pairs(self):
         # classes {[[0]]} and {[[2]]}: ordered pairs (a,b) and (b,a) each -4
         g = np.array([[[0.0]], [[2.0]]])
-        assert group_inter_loss(group_stats(Tensor(g), [0, 1])).item() == -8.0
+        assert group_losses(Tensor(g), [0, 1])[1].item() == -8.0
 
     def test_single_class_contributes_zero_with_notice(self, caplog):
         g = np.full((3, 2, 2), 0.4)
         with caplog.at_level(logging.INFO, logger="netgen.graphgen"):
-            value = group_inter_loss(group_stats(Tensor(g), [1, 1, 1]))
+            value = group_losses(Tensor(g), [1, 1, 1])[1]
         assert value.item() == 0.0
         assert any("single class" in r.message for r in caplog.records)
 
     def test_never_positive(self):
         for seed in range(30):
             graphs, labels = random_graph_batch(8, 3, 2, 3, seed)
-            assert group_inter_loss(group_stats(Tensor(graphs), labels)).item() <= 0.0
+            assert group_losses(Tensor(graphs), labels)[1].item() <= 0.0
 
     def test_gradient_flows_to_embeddings(self):
         rng = np.random.default_rng(1)
         h = Param(rng.standard_normal((4, 3, 2)))
         err = nn.gradient_check(
-            lambda: group_inter_loss(group_stats(generate_graph(h), [0, 1, 0, 1])),
+            lambda: group_losses(generate_graph(h), [0, 1, 0, 1])[1],
             [("h", h)],
             seed=0,
         )
@@ -168,7 +168,7 @@ class TestOracleEquivalence:
             rng = np.random.default_rng(seed)
             n, v, d = int(rng.integers(n_classes, 33)), int(rng.integers(2, 7)), 3
             graphs, labels = random_graph_batch(n, v, d, n_classes, seed)
-            fast = group_intra_loss(group_stats(Tensor(graphs), labels)).item()
+            fast = group_losses(Tensor(graphs), labels)[0].item()
             oracle = group_intra_loss_oracle(graphs, labels)
             assert abs(fast - oracle) <= 1e-6 * max(1.0, abs(oracle))
 
@@ -178,7 +178,7 @@ class TestOracleEquivalence:
             rng = np.random.default_rng(seed)
             n, v, d = int(rng.integers(n_classes, 33)), int(rng.integers(2, 7)), 3
             graphs, labels = random_graph_batch(n, v, d, n_classes, seed)
-            fast = group_inter_loss(group_stats(Tensor(graphs), labels)).item()
+            fast = group_losses(Tensor(graphs), labels)[1].item()
             oracle = group_inter_loss_oracle(graphs, labels)
             assert abs(fast - oracle) <= 1e-6 * max(1.0, abs(oracle))
 

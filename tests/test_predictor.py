@@ -11,7 +11,6 @@ from netgen.predictor import (
     PIPELINES,
     SequenceModel,
     build_model,
-    build_pearson_graph,
     build_uniform_graph,
 )
 
@@ -158,15 +157,14 @@ class TestBaselineGraphs:
     def test_pearson_graph_keeps_signed_weights(self):
         t = np.linspace(0, 1, 16)
         x = np.stack([t, -t + 0.3, np.sin(7 * t)])
-        a = build_pearson_graph(x)
-        assert np.array_equal(a, pearson_features(x))
+        a = pearson_features(x)
         assert a.min() < 0  # anti-correlated pair keeps its sign
         assert np.array_equal(a, a.T)
         assert np.array_equal(np.diag(a), np.ones(3))
 
     def test_identical_rows_give_ones(self):
         x = np.tile(np.array([1.0, 3.0, 2.0, 5.0]), (3, 1))
-        assert np.allclose(build_pearson_graph(x), np.ones((3, 3)))
+        assert np.allclose(pearson_features(x), np.ones((3, 3)))
 
 
 class TestModels:
