@@ -36,8 +36,9 @@ from .interpret import (
     mean_graph,
     module_difference_scores,
 )
-from .predictor import GcnConfig, PIPELINES, pipeline_encoder
+from .predictor import GcnConfig, PIPELINES
 from .training import (
+    ConfigError,
     Metrics,
     TrainConfig,
     ablate,
@@ -46,14 +47,9 @@ from .training import (
     run_seeds,
     save_model,
     sweep,
-    train_splits,
 )
 
 __all__ = ["ConfigError", "ExperimentConfig", "main", "entrypoint"]
-
-
-class ConfigError(Exception):
-    """Invalid experiment configuration; maps to exit code 2."""
 
 
 # The `sweep` and `interpret` sections of an ExperimentConfig.
@@ -224,38 +220,6 @@ def _resolve_dataset(cfg: ExperimentConfig) -> Dataset:
     return load_dataset(path)
 
 
-def _check_series_length(cfg: ExperimentConfig, ds: Dataset, pipelines=(None,), windows=None,
-                         key: str = "encoder.window") -> None:
-    """Reject up front every encoder window the run will train with that is
-    too long for the dataset's series; pipeline None is `train`'s default."""
-    for pipeline in pipelines:
-        pipeline = pipeline or f"fbnetgen-{cfg.train_cfg.encoder.kind}"
-        for window in windows or [cfg.train_cfg.encoder.window]:
-            enc = pipeline_encoder(pipeline, replace(cfg.train_cfg.encoder, window=window))
-            if enc is not None and ds.t < enc.min_length():
-                raise ConfigError(
-                    f"{key} {window} is too long for the series: the {pipeline} pipeline "
-                    f"needs t >= {enc.min_length()}, the dataset has t={ds.t}"
-                )
-
-
-def _check_splits(cfg: ExperimentConfig, ds: Dataset, seeds) -> None:
-    """Reject up front every seed whose split `train` would refuse, or whose
-    test split cannot be scored: AUROC needs both classes."""
-    for seed in seeds:
-        run_cfg = cfg.train_cfg.seeded(seed)
-        try:
-            _, _, test = train_splits(run_cfg, ds)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        classes = sorted(set(test.labels().tolist()))
-        _require(
-            len(classes) >= 2,
-            f"train.split.test {run_cfg.split.test} (split seed {seed}) gives a test split of "
-            f"{test.n} samples with classes {classes}; it needs both classes",
-        )
-
-
 class _RunLog:
     """Collects timestamped lines; the only artifact allowed to vary."""
 
@@ -301,9 +265,7 @@ def cmd_synth(cfg: ExperimentConfig, out_dir: Path, log: _RunLog) -> None:
 
 def cmd_train(cfg: ExperimentConfig, out_dir: Path, log: _RunLog) -> None:
     ds = _resolve_dataset(cfg)
-    _check_series_length(cfg, ds, [cfg.pipeline])
-    _check_splits(cfg, ds, cfg.seeds[:1])
-    [(tm, history, test_metrics)] = run_seeds(cfg.train_cfg, ds, cfg.seeds[:1], cfg.pipeline)
+    [[(tm, history, test_metrics)]] = run_seeds([(cfg.train_cfg, cfg.pipeline)], ds, cfg.seeds[:1])
 
     out_dir.mkdir(parents=True, exist_ok=True)
     save_model(tm, out_dir / "checkpoint.json")
@@ -337,8 +299,6 @@ def cmd_train(cfg: ExperimentConfig, out_dir: Path, log: _RunLog) -> None:
 
 def cmd_compare(cfg: ExperimentConfig, out_dir: Path, log: _RunLog) -> None:
     ds = _resolve_dataset(cfg)
-    _check_series_length(cfg, ds, PIPELINES)
-    _check_splits(cfg, ds, cfg.seeds)
     rows = compare(cfg.train_cfg, ds, cfg.seeds)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_table(out_dir / "compare.csv", list(rows[0]), [row.values() for row in rows])
@@ -352,8 +312,6 @@ def cmd_compare(cfg: ExperimentConfig, out_dir: Path, log: _RunLog) -> None:
 
 def cmd_ablate(cfg: ExperimentConfig, out_dir: Path, log: _RunLog) -> None:
     ds = _resolve_dataset(cfg)
-    _check_series_length(cfg, ds)
-    _check_splits(cfg, ds, cfg.seeds)
     rows = ablate(cfg.train_cfg, ds, cfg.seeds)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_table(
@@ -367,13 +325,7 @@ def cmd_ablate(cfg: ExperimentConfig, out_dir: Path, log: _RunLog) -> None:
 
 
 def cmd_sweep(cfg: ExperimentConfig, out_dir: Path, log: _RunLog) -> None:
-    _require(
-        bool(cfg.sweep.windows) and bool(cfg.sweep.dims),
-        "sweep command needs a 'sweep' section with non-empty 'windows' and 'dims'",
-    )
     ds = _resolve_dataset(cfg)
-    _check_series_length(cfg, ds, windows=cfg.sweep.windows, key="sweep.windows")
-    _check_splits(cfg, ds, cfg.seeds)
     rows = sweep(cfg.train_cfg, ds, cfg.sweep.windows, cfg.sweep.dims, cfg.seeds)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_table(out_dir / "sweep.csv", list(rows[0]), [row.values() for row in rows])
@@ -394,29 +346,31 @@ def cmd_interpret(cfg: ExperimentConfig, out_dir: Path, log: _RunLog, checkpoint
         tm.v == ds.v,
         f"checkpoint was trained on v={tm.v} ROIs but the dataset has v={ds.v}",
     )
-    if cfg.interpret.split != "all":
-        parts = split(ds, cfg.train_cfg.seeded(cfg.seeds[0]).split)
-        ds = dict(zip(("train", "val", "test"), parts))[cfg.interpret.split]
+    name = cfg.interpret.split
+    if name != "all":
+        spec = cfg.train_cfg.seeded(cfg.seeds[0]).split
+        try:
+            ds = dict(zip(("train", "val", "test"), split(ds, spec)))[name]
+        except ValueError as exc:
+            raise ConfigError(f"interpret.split {name!r} (split seed {spec.seed}): {exc}") from exc
+    counts = [ds.labels().tolist().count(c) for c in range(len(ds.class_names))]
+    _require(min(counts) >= 2, f"interpret.split {name!r} holds {ds.n} samples with class counts "
+                               f"{counts}; the edge t-tests need at least 2 of each class")
     graphs, labels = collect_graphs(tm, ds)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    edges = edge_ttest(graphs, labels, alpha=cfg.interpret.alpha)
+    scores = module_difference_scores(edges, ds.partition, ds.v)
 
-    artifacts = ["log.txt"]
+    out_dir.mkdir(parents=True, exist_ok=True)
+    artifacts = ["log.txt", "mean_graph_all.csv", "mean_graph_all.pgm"]
     export_matrix(mean_graph(graphs), out_dir / "mean_graph_all.csv",
                   heatmap_path=out_dir / "mean_graph_all.pgm")
-    artifacts += ["mean_graph_all.csv", "mean_graph_all.pgm"]
     for c in sorted(set(int(x) for x in labels)):
-        name = f"mean_graph_class{c}.csv"
-        export_matrix(mean_graph(graphs[labels == c]), out_dir / name)
-        artifacts.append(name)
-
-    edges = edge_ttest(graphs, labels, alpha=cfg.interpret.alpha)
+        artifacts.append(f"mean_graph_class{c}.csv")
+        export_matrix(mean_graph(graphs[labels == c]), out_dir / artifacts[-1])
     _write_table(out_dir / "edges_significant.csv", ["p", "q", "t", "pvalue"],
                  [(e.p, e.q, e.t, e.pvalue) for e in edges.edges])
-    artifacts.append("edges_significant.csv")
-
-    scores = module_difference_scores(edges, ds.partition, ds.v)
     export_scores(scores, out_dir / "module_scores.csv")
-    artifacts.append("module_scores.csv")
+    artifacts += ["edges_significant.csv", "module_scores.csv"]
 
     _write_run_json(out_dir, cfg, "interpret", artifacts,
                     extra={"n_edges_flagged": len(edges.edges), "n_edges_tested": edges.n_tested})

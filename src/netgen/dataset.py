@@ -230,41 +230,31 @@ def _split_sizes(total: int, ratios) -> list:
 
 
 def split(ds: Dataset, spec: SplitSpec):
-    """Label-stratified, seed-deterministic (train, val, test) split."""
+    """Label-stratified, seed-deterministic (train, val, test) split: each
+    shuffled class fills the floors of its shares, then in class order its
+    leftovers go to the first split, by largest remainder, with room left."""
     ratios = spec.ratios()
     labels = ds.labels()
-    n = ds.n
-    sizes = _split_sizes(n, ratios)
-    capacity = list(sizes)
     rng = np.random.default_rng(spec.seed)
-
-    assignment = [[], [], []]
     classes = sorted(set(int(c) for c in labels))
-    floors = {}
-    leftovers = []
+    shuffled = []
     for c in classes:
         idx = np.flatnonzero(labels == c)
-        idx = idx[rng.permutation(len(idx))]
         exact = [len(idx) * r for r in ratios]
-        take = [math.floor(e) for e in exact]
-        floors[c] = (idx, take, exact)
-    for c in classes:
-        idx, take, exact = floors[c]
-        for s in range(3):
-            capacity[s] -= take[s]
-        extra = len(idx) - sum(take)
+        shuffled.append((idx[rng.permutation(len(idx))], exact, [math.floor(e) for e in exact]))
+    room = _split_sizes(ds.n, ratios)
+    for _, _, take in shuffled:
+        room = [r - k for r, k in zip(room, take)]
+
+    assignment = [[], [], []]
+    for idx, exact, take in shuffled:
         order = sorted(range(3), key=lambda s: (-(exact[s] - take[s]), s))
-        leftovers.append((c, extra, order))
-    for c, extra, order in leftovers:
-        idx, take, _ = floors[c]
-        for _ in range(extra):
+        for _ in range(len(idx) - sum(take)):
             for s in order:
-                if capacity[s] > 0:
+                if room[s] > 0:
                     take[s] += 1
-                    capacity[s] -= 1
+                    room[s] -= 1
                     break
-    for c in classes:
-        idx, take, _ = floors[c]
         pos = 0
         for s in range(3):
             assignment[s].extend(int(i) for i in idx[pos : pos + take[s]])
@@ -307,7 +297,8 @@ def generate_synthetic(spec: SynthSpec, seed: int) -> Dataset:
         blocks[name] = tuple(range(start, start + size))
         start += size
     partition = ModulePartition(blocks)
-    loose = list(range(start, spec.v))
+    # each loose ROI follows a driver of its own, at coupling 1
+    drivers = list(blocks.items()) + [(None, (r,)) for r in range(start, spec.v)]
 
     rng = np.random.default_rng(seed)
     time = np.arange(spec.t) / spec.t
@@ -315,7 +306,7 @@ def generate_synthetic(spec: SynthSpec, seed: int) -> Dataset:
     for i in range(spec.n):
         label = i % 2
         x = np.empty((spec.v, spec.t))
-        for name, rois in blocks.items():
+        for name, rois in drivers:
             freq = rng.uniform(1.0, 4.0)
             phase = rng.uniform(0.0, 2.0 * np.pi)
             driver = np.sin(2.0 * np.pi * freq * time + phase)
@@ -323,12 +314,6 @@ def generate_synthetic(spec: SynthSpec, seed: int) -> Dataset:
             coupling = 1.0 + (spec.effect if (label == 1 and name == spec.planted) else 0.0)
             for r in rois:
                 x[r] = coupling * driver + spec.noise * rng.standard_normal(spec.t)
-        for r in loose:
-            freq = rng.uniform(1.0, 4.0)
-            phase = rng.uniform(0.0, 2.0 * np.pi)
-            driver = np.sin(2.0 * np.pi * freq * time + phase)
-            driver = driver + 0.3 * rng.standard_normal(spec.t)
-            x[r] = driver + spec.noise * rng.standard_normal(spec.t)
         samples.append(TimeSeriesSample(id=f"s{i:04d}", x=x, label=label))
 
     ds = Dataset(samples=samples, partition=partition, class_names=["class0", "class1"])
@@ -365,16 +350,15 @@ def write_dataset(ds: Dataset, path) -> None:
 
 
 def _read_text(path: Path) -> str:
-    """The text of `path`, or DatasetError naming it."""
+    """The text of `path`, or DatasetError naming it: missing, a directory,
+    a name the OS refuses (a NUL byte, a lone surrogate) or not UTF-8."""
     try:
         return path.read_text()
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise DatasetError(f"{path}: cannot read as text ({exc})") from exc
 
 
 def _read_sample_file(path: Path, v: int, t: int, sample_id: str) -> np.ndarray:
-    if not path.exists():
-        raise DatasetError(f"sample file '{path}' referenced by manifest does not exist")
     rows = []
     text = _read_text(path).strip("\n")
     for lineno, line in enumerate(text.split("\n"), start=1):
@@ -408,7 +392,28 @@ def _typed(value, kind, where: str):
     return value
 
 
+def _read_modules(path: Path) -> ModulePartition:
+    modules: dict = {}
+    text = _read_text(path).strip("\n")
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            roi_str, name = line.split(",", 1)
+            roi = int(roi_str)
+        except ValueError as exc:
+            raise DatasetError(f"{path}:{lineno}: expected 'roi_index,module_name'") from exc
+        modules.setdefault(name.strip(), []).append(roi)
+    try:
+        return ModulePartition(modules)
+    except DatasetError as exc:
+        raise DatasetError(f"{path}: {exc}") from exc
+
+
 def load_dataset(path) -> Dataset:
+    """The dataset under `path`. Any fault raises DatasetError naming
+    manifest.json, with the key at fault, and the file and line for a
+    fault inside a file the manifest names."""
     root = Path(path)
     manifest_path = root / "manifest.json"
     if not manifest_path.exists():
@@ -439,27 +444,19 @@ def load_dataset(path) -> Dataset:
             raise DatasetError(
                 f"{manifest_path}: sample '{sample_id}' has unknown label {label}"
             )
-        x = _read_sample_file(root / _typed(entry["file"], str, f"{where}.file"), v, t, sample_id)
+        file = root / _typed(entry["file"], str, f"{where}.file")
+        try:
+            x = _read_sample_file(file, v, t, sample_id)
+        except DatasetError as exc:
+            raise DatasetError(f"{where}.file: {exc}") from exc
         samples.append(TimeSeriesSample(id=sample_id, x=x, label=label))
 
-    modules_path = root / _typed(manifest["modules_file"], str, f"{manifest_path}: 'modules_file'")
-    if not modules_path.exists():
-        raise DatasetError(f"modules file '{modules_path}' does not exist")
-    modules: dict = {}
-    text = _read_text(modules_path).strip("\n")
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        if not line.strip():
-            continue
-        try:
-            roi_str, name = line.split(",", 1)
-            roi = int(roi_str)
-        except ValueError as exc:
-            raise DatasetError(f"{modules_path}:{lineno}: expected 'roi_index,module_name'") from exc
-        modules.setdefault(name.strip(), []).append(roi)
+    where = f"{manifest_path}: 'modules_file'"
+    modules_path = root / _typed(manifest["modules_file"], str, where)
     try:
-        partition = ModulePartition(modules)
+        partition = _read_modules(modules_path)
     except DatasetError as exc:
-        raise DatasetError(f"{modules_path}: {exc}") from exc
+        raise DatasetError(f"{where}: {exc}") from exc
 
     ds = Dataset(samples=samples, partition=partition, class_names=class_names)
     try:

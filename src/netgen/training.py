@@ -18,9 +18,10 @@ from .dataset import Dataset, SplitSpec, pearson_features, split, zscore_normali
 from .encoders import EncoderConfig
 from .graphgen import LossWeights, group_losses, sparsity_loss
 from .nncore import Tensor
-from .predictor import GcnConfig, PIPELINES, build_model
+from .predictor import GcnConfig, PIPELINES, build_model, pipeline_encoder
 
 __all__ = [
+    "ConfigError",
     "Metrics",
     "TrainConfig",
     "TrainHistory",
@@ -47,6 +48,11 @@ log = logging.getLogger(__name__)
 # parameters are cast back to float64 (exactly) before the model is
 # returned, and gradient checks always run in double.
 TRAIN_DTYPE = np.float32
+
+
+class ConfigError(ValueError):
+    """A config whose runs cannot train or be scored, naming the key at
+    fault; the CLI maps it to exit code 2."""
 
 
 @dataclass
@@ -234,17 +240,17 @@ def evaluate(tm: TrainedModel, ds: Dataset) -> Metrics:
 
 
 def train_splits(config: TrainConfig, ds: Dataset):
-    """`ds` split by `config.split` into (train, val, test), or ValueError
+    """`ds` split by `config.split` into (train, val, test), or ConfigError
     naming the ratio at fault: the training split must hold every class, and
     the validation split both classes, since it selects the epoch by AUROC."""
     spec = config.split
     try:
         parts = split(ds, spec)
     except ValueError as exc:
-        raise ValueError(f"train.split.train {spec.train} (split seed {spec.seed}): {exc}") from exc
+        raise ConfigError(f"train.split.train {spec.train} (split seed {spec.seed}): {exc}") from exc
     val_classes = sorted(set(parts[1].labels().tolist()))
     if len(val_classes) < 2:
-        raise ValueError(
+        raise ConfigError(
             f"train.split.val {spec.val} (split seed {spec.seed}) gives a validation split of "
             f"{parts[1].n} samples with classes {val_classes}; it needs both classes"
         )
@@ -397,22 +403,43 @@ def _variant_weights(variant: str, base: LossWeights) -> LossWeights:
     raise ValueError(f"unknown ablation variant {variant!r}")
 
 
-def run_seeds(config: TrainConfig, ds: Dataset, seeds, pipeline: str | None = None) -> list:
-    """One train/test cycle per seed, in seed order, with the config
-    `seeded` by it: a list of (model, history, test Metrics)."""
-    runs = []
-    for seed in seeds:
-        run_cfg = config.seeded(seed)
-        tm, history = train(run_cfg, ds, pipeline=pipeline)
-        _, _, test_ds = split(ds, run_cfg.split)
-        runs.append((tm, history, evaluate(tm, test_ds)))
-    return runs
+def run_seeds(cells, ds: Dataset, seeds, window_key: str = "encoder.window") -> list:
+    """Train each (config, pipeline) cell once per seed, with the config
+    `seeded` by it; per cell, (model, history, test Metrics) in seed order.
 
+    Every run is checked before the first trains, and ConfigError names the
+    key at fault: `window_key` for a window too long for the series, or
+    `train.split.*` for a split `train_splits` refuses or a test split
+    AUROC cannot score. Pipeline None is `train`'s default.
+    """
+    ds.validate()
+    tests = []
+    for config, pipeline in cells:
+        config.validate()
+        pipeline = pipeline or f"fbnetgen-{config.encoder.kind}"
+        enc = pipeline_encoder(pipeline, config.encoder)
+        if enc is not None and ds.t < enc.min_length():
+            raise ConfigError(
+                f"{window_key} {config.encoder.window} is too long for the series: the "
+                f"{pipeline} pipeline needs t >= {enc.min_length()}, the dataset has t={ds.t}"
+            )
+        tests.append([])
+        for seed in seeds:
+            _, _, test = train_splits(config.seeded(seed), ds)
+            classes = sorted(set(test.labels().tolist()))
+            if len(classes) < 2:
+                raise ConfigError(
+                    f"train.split.test {config.split.test} (split seed {seed}) gives a test "
+                    f"split of {test.n} samples with classes {classes}; it needs both classes"
+                )
+            tests[-1].append(test)
 
-def _test_metrics(config: TrainConfig, ds: Dataset, seeds, pipeline: str | None = None):
-    """Test AUROCs and accuracies over the seeds, in seed order."""
-    runs = run_seeds(config, ds, seeds, pipeline)
-    return [m.auroc for _, _, m in runs], [m.accuracy for _, _, m in runs]
+    def run(config, pipeline, seed, test):
+        tm, history = train(config.seeded(seed), ds, pipeline)
+        return tm, history, evaluate(tm, test)
+
+    return [[run(config, pipeline, seed, test) for seed, test in zip(seeds, cell_tests)]
+            for (config, pipeline), cell_tests in zip(cells, tests)]
 
 
 def ablate(config: TrainConfig, ds: Dataset, seeds) -> list:
@@ -421,10 +448,11 @@ def ablate(config: TrainConfig, ds: Dataset, seeds) -> list:
     Returns one row per variant:
     {"variant", "per_seed" (test AUROC), "mean", "std"}.
     """
+    cells = [(replace(config, loss=_variant_weights(variant, config.loss)), None)
+             for variant in ABLATION_VARIANTS]
     rows = []
-    for variant in ABLATION_VARIANTS:
-        variant_cfg = replace(config, loss=_variant_weights(variant, config.loss))
-        aurocs, _ = _test_metrics(variant_cfg, ds, seeds)
+    for variant, runs in zip(ABLATION_VARIANTS, run_seeds(cells, ds, seeds)):
+        aurocs = [m.auroc for _, _, m in runs]
         rows.append({"variant": variant, "per_seed": aurocs,
                      "mean": float(np.mean(aurocs)), "std": float(np.std(aurocs))})
     return rows
@@ -433,21 +461,23 @@ def ablate(config: TrainConfig, ds: Dataset, seeds) -> list:
 def sweep(config: TrainConfig, ds: Dataset, windows, dims, seeds) -> list:
     """Grid over encoder window and embedding size; one row per cell, means over seeds."""
     if not windows or not dims:
-        raise ValueError("sweep grid must be non-empty")
-    rows = []
-    for window, dim in itertools.product(windows, dims):
-        cell_cfg = replace(config, encoder=replace(config.encoder, window=window, dim=dim))
-        aurocs, accs = _test_metrics(cell_cfg, ds, seeds)
-        rows.append({"window": window, "dim": dim,
-                     "auroc": float(np.mean(aurocs)), "accuracy": float(np.mean(accs))})
-    return rows
+        raise ConfigError(f"sweep grid must be non-empty: sweep.windows {list(windows)}, "
+                          f"sweep.dims {list(dims)}")
+    grid = list(itertools.product(windows, dims))
+    cells = [(replace(config, encoder=replace(config.encoder, window=window, dim=dim)), None)
+             for window, dim in grid]
+    return [{"window": window, "dim": dim,
+             "auroc": float(np.mean([m.auroc for _, _, m in runs])),
+             "accuracy": float(np.mean([m.accuracy for _, _, m in runs]))}
+            for (window, dim), runs in zip(grid, run_seeds(cells, ds, seeds, "sweep.windows"))]
 
 
 def compare(config: TrainConfig, ds: Dataset, seeds) -> list:
     """Train every pipeline over the seeds; mean and std of test metrics."""
     rows = []
-    for pipeline in PIPELINES:
-        aurocs, accs = _test_metrics(config, ds, seeds, pipeline)
+    for pipeline, runs in zip(PIPELINES, run_seeds([(config, p) for p in PIPELINES], ds, seeds)):
+        aurocs = [m.auroc for _, _, m in runs]
+        accs = [m.accuracy for _, _, m in runs]
         rows.append({"pipeline": pipeline,
                      "auroc_mean": float(np.mean(aurocs)), "auroc_std": float(np.std(aurocs)),
                      "accuracy_mean": float(np.mean(accs)), "accuracy_std": float(np.std(accs))})

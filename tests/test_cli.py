@@ -343,6 +343,25 @@ class TestInterpretCommand:
         mean_lines = (out / "mean_graph_all.csv").read_text().strip().split("\n")
         assert len(mean_lines) == 6
 
+    @pytest.mark.parametrize(
+        "ratios",
+        [{"train": 0.8, "val": 0.13, "test": 0.07}, {"train": 0.75, "val": 0.25, "test": 0.0}],
+        ids=["one-sample-test", "empty-test"],
+    )
+    def test_split_too_small_for_ttests_exits_2_without_output(self, tmp_path, capsys, ratios):
+        run = tmp_path / "run"
+        assert main(["train", "--config", write_config(tmp_path, base_config(tmp_path)),
+                     "--out", str(run)]) == 0
+        raw = base_config(tmp_path, interpret={"split": "test"})
+        raw["train"]["split"] = ratios
+        cfg = write_config(tmp_path, raw, name="interpret.json")
+        out = tmp_path / "interp"
+        capsys.readouterr()
+        assert main(["interpret", "--config", cfg, "--out", str(out),
+                     "--checkpoint", str(run / "checkpoint.json")]) == 2
+        assert "interpret.split" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_checkpoint_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, base_config(tmp_path))
         assert main(["interpret", "--config", cfg, "--out", str(tmp_path / "x")]) == 2

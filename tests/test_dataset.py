@@ -1,4 +1,6 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -261,6 +263,60 @@ class TestRoundTrip:
         with pytest.raises(DatasetError) as exc:
             load_dataset(tmp_path / "d")
         assert str(tmp_path / "d" / where) in str(exc.value) and key in str(exc.value)
+
+    # Manifest mutations: a dropped key, a key set to any JSON value (or a bad
+    # label, or an odd `file` string), or a sample entry replaced outright.
+    json_values = st.recursive(
+        st.none() | st.booleans() | st.integers(-3, 6) | st.floats() | st.text(max_size=4),
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                    max_size=3),
+        max_leaves=6,
+    )
+    odd_files = st.sampled_from(["", ".", "..", "samples", "samples/", "modules.csv", MANIFEST,
+                                 "samples/s1.csv", "samples/s0.csv/x", "missing.csv", "a\x00b",
+                                 "\ud800", "x" * 300]) | st.text(alphabet="ab./\x00 ", max_size=8)
+    manifest_keys = st.sampled_from(["v", "t", "classes", "samples", "modules_file"])
+    sample_keys = st.sampled_from(["id", "label", "file"])
+    mutations = st.one_of(
+        st.tuples(st.just("drop"), manifest_keys),
+        st.tuples(st.just("set"), manifest_keys, json_values),
+        st.tuples(st.just("drop-in-sample"), st.integers(0, 3), sample_keys),
+        st.tuples(st.just("set-in-sample"), st.integers(0, 3), sample_keys, json_values),
+        st.tuples(st.just("set-in-sample"), st.integers(0, 3), st.just("label"),
+                  st.integers(-2, 3)),
+        st.tuples(st.just("set-in-sample"), st.integers(0, 3), st.just("file"), odd_files),
+        st.tuples(st.just("set"), st.just("modules_file"), odd_files),
+        st.tuples(st.just("replace-sample"), st.integers(0, 3), json_values),
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(mutations, min_size=1, max_size=3))
+    def test_manifest_fuzz_raises_only_dataset_error_naming_manifest(self, edits):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            write_dataset(small_dataset(n=4, v=3, t=4), root)
+            manifest = json.loads((root / MANIFEST).read_text())
+            for kind, *args in edits:
+                samples = manifest.get("samples")
+                if kind == "drop":
+                    manifest.pop(args[0], None)
+                elif kind == "set":
+                    manifest[args[0]] = args[1]
+                elif not (isinstance(samples, list) and args[0] < len(samples)):
+                    continue
+                elif kind == "replace-sample":
+                    samples[args[0]] = args[1]
+                elif not isinstance(samples[args[0]], dict):
+                    continue
+                elif kind == "drop-in-sample":
+                    samples[args[0]].pop(args[1], None)
+                else:
+                    samples[args[0]][args[1]] = args[2]
+            (root / MANIFEST).write_text(json.dumps(manifest))
+            try:
+                load_dataset(root)
+            except DatasetError as exc:
+                assert str(root / MANIFEST) in str(exc)
 
     def test_non_finite_value_reported(self, tmp_path):
         ds = small_dataset()

@@ -19,6 +19,7 @@ from netgen.nncore import CheckpointError, Tensor
 from netgen.predictor import GcnConfig
 from netgen.training import (
     ABLATION_VARIANTS,
+    ConfigError,
     TrainConfig,
     _check_ce_curve,
     ablate,
@@ -364,6 +365,28 @@ class TestHarnesses:
         _, _, test_ds = split(ds, cfg.split)
         direct = evaluate(tm, test_ds)
         assert row == {k: getattr(direct, k) for k in row}
+
+    # On n=16, 0.8/0.13/0.07 leaves a one-sample test split.
+    @pytest.mark.parametrize(
+        "harness,ratios,key",
+        [
+            (lambda cfg, ds: sweep(cfg, ds, windows=[8, 48], dims=[4], seeds=[0, 1]),
+             (0.6, 0.2, 0.2), "sweep.windows 48"),
+            (lambda cfg, ds: ablate(cfg, ds, seeds=[0, 1]), (0.8, 0.13, 0.07), "train.split.test"),
+            (lambda cfg, ds: compare(cfg, ds, seeds=[0, 1]), (0.8, 0.13, 0.07), "train.split.test"),
+        ],
+        ids=["sweep-window", "ablate-one-class-test", "compare-one-class-test"],
+    )
+    def test_refused_before_any_run_trains(self, monkeypatch, harness, ratios, key):
+        import netgen.training as training_mod
+
+        calls = []
+        monkeypatch.setattr(training_mod, "train", lambda *args, **kw: calls.append(args))
+        cfg = tiny_config(split=SplitSpec(*ratios, seed=0))
+        with pytest.raises(ConfigError, match=key) as exc:
+            harness(cfg, tiny_dataset(n=16, t=40))
+        assert isinstance(exc.value, ValueError)
+        assert calls == []
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):

@@ -18,14 +18,21 @@ artifact that holds timestamps, and the sha256 of every other file goes to
 OUT/manifest.sha256. With `--against`, that manifest is compared with the
 one in another output directory: the identical and the differing files are
 listed, and the exit code is 1 if any file differs or exists on one side
-only. A recipe command that fails ends the run with exit code 2.
+only. Each differing CSV or JSON file also gets the largest absolute and
+the largest relative difference between numbers at the same place, each
+with the CSV column (header name, else index) or the JSON key it is in;
+checkpoint arrays are decoded and compared by value. A recipe command
+that fails ends the run with exit code 2.
 """
 from __future__ import annotations
 
 import argparse
+import base64
 import hashlib
 import json
+import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -106,8 +113,85 @@ def read_manifest(out: Path) -> dict:
     return hashes
 
 
-def compare(ours: dict, theirs: dict) -> bool:
-    """Print the identical and differing files; True if all are identical."""
+def _number(cell: str):
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def csv_numbers(text: str) -> dict:
+    """{column: its numeric cells in row order}; a column is named by the
+    header if the first row holds a non-numeric cell, else by its index."""
+    rows = [line.split(",") for line in text.splitlines()]
+    header = rows.pop(0) if rows and any(_number(c) is None for c in rows[0]) else []
+    out = {}
+    for row in rows:
+        for j, cell in enumerate(row):
+            if (x := _number(cell)) is not None:
+                out.setdefault(header[j] if j < len(header) else str(j), []).append(x)
+    return out
+
+
+def json_numbers(doc, key: str = "", out=None) -> dict:
+    """{dotted key: its numbers in document order}; list items share their
+    list's key, and a packed checkpoint array yields its float64 values."""
+    out = {} if out is None else out
+    if isinstance(doc, dict) and doc.get("dtype") == "<f8" and isinstance(doc.get("data"), str):
+        raw = base64.b64decode(doc["data"])
+        out.setdefault(key, []).extend(x for (x,) in struct.iter_unpack("<d", raw))
+    elif isinstance(doc, dict):
+        for k, value in doc.items():
+            json_numbers(value, f"{key}.{k}" if key else str(k), out)
+    elif isinstance(doc, list):
+        for value in doc:
+            json_numbers(value, key, out)
+    elif isinstance(doc, (int, float)) and not isinstance(doc, bool):
+        out.setdefault(key, []).append(float(doc))
+    return out
+
+
+def _gaps(xs: list, ys: list) -> list:
+    """(absolute, relative) difference of each pair of numbers that differ;
+    lists of unequal length, or a NaN or inf against a number, differ
+    infinitely."""
+    if len(xs) != len(ys):
+        return [(math.inf, math.inf)]
+    gaps = []
+    for x, y in zip(xs, ys):
+        if x == y or (math.isnan(x) and math.isnan(y)):
+            continue
+        gap = abs(x - y)
+        gaps.append((gap, gap / max(abs(x), abs(y))) if math.isfinite(gap) else (math.inf, math.inf))
+    return gaps
+
+
+def numeric_diff(ours: Path, theirs: Path):
+    """(largest absolute difference, its column or key, largest relative
+    difference, its column or key) between two CSV or JSON files, or None
+    for any other file or one that does not parse."""
+    try:
+        if ours.suffix == ".csv":
+            a, b = csv_numbers(ours.read_text()), csv_numbers(theirs.read_text())
+        elif ours.suffix == ".json":
+            a, b = (json_numbers(json.loads(p.read_text())) for p in (ours, theirs))
+        else:
+            return None
+    except ValueError:
+        return None
+    worst_abs, worst_rel = (0.0, "-"), (0.0, "-")
+    for key in sorted(set(a) | set(b)):
+        for gap, rel in _gaps(a.get(key, []), b.get(key, [])):
+            if gap > worst_abs[0]:
+                worst_abs = (gap, key)
+            if rel > worst_rel[0]:
+                worst_rel = (rel, key)
+    return (*worst_abs, *worst_rel)
+
+
+def compare(ours: dict, theirs: dict, our_dir: Path, their_dir: Path) -> bool:
+    """Print the identical and differing files, with the numeric difference
+    of each differing CSV or JSON file; True if all are identical."""
     names = sorted(set(ours) | set(theirs))
     same = [n for n in names if ours.get(n) == theirs.get(n)]
     differ = [n for n in names if n in ours and n in theirs and ours[n] != theirs[n]]
@@ -115,7 +199,10 @@ def compare(ours: dict, theirs: dict) -> bool:
     print(f"identical ({len(same)}):")
     print("".join(f"  {n}\n" for n in same), end="")
     print(f"differing ({len(differ)}):")
-    print("".join(f"  {n}\n" for n in differ), end="")
+    for n in differ:
+        diff = numeric_diff(our_dir / n, their_dir / n)
+        print(f"  {n}" if diff is None else
+              f"  {n}  max abs {diff[0]:.3g} ({diff[1]}), max rel {diff[2]:.3g} ({diff[3]})")
     print(f"on one side only ({len(one_side)}):")
     print("".join(f"  {n}\n" for n in one_side), end="")
     return not differ and not one_side
@@ -138,7 +225,7 @@ def main(argv=None) -> int:
     print(f"{len(ours)} artifacts hashed into {args.out / MANIFEST}")
     if args.against is None:
         return 0
-    return 0 if compare(ours, read_manifest(args.against)) else 1
+    return 0 if compare(ours, read_manifest(args.against), args.out, args.against) else 1
 
 
 if __name__ == "__main__":
