@@ -92,11 +92,10 @@ def _require(cond: bool, message: str) -> None:
 
 
 def _int_list(values, key: str, least: int) -> list:
-    """`values` as a list, if every entry is an int >= `least`. Bools and
-    floats such as 8.0 are rejected rather than passed to `int()`."""
+    """`values`, a list of ints, if every entry is >= `least`."""
     for x in values:
-        _require(type(x) is int and x >= least, f"{key} {x!r} is not an integer >= {least}")
-    return list(values)
+        _require(x >= least, f"{key} {x!r} is not an integer >= {least}")
+    return values
 
 
 def _object(raw, keys, where: str) -> dict:
@@ -106,16 +105,27 @@ def _object(raw, keys, where: str) -> dict:
     return raw
 
 
+# The JSON type each field type takes: its name, and the Python types json
+# reads it as. A float key takes an integer literal too.
+_JSON = {int: ("integer", int), float: ("number", (int, float)), str: ("string", str),
+         list: ("array", list), tuple: ("array", list), dict: ("object", dict)}
+
+
 def _convert(kind, value, key: str):
-    """`value` as a `kind`; tuple items and dict values are ints
-    (`GcnConfig.widths`, `SynthSpec.modules`)."""
+    """`value` as a `kind` if it has the JSON type of `kind`, else
+    ConfigError naming `key`; a bool is no number. Array entries and object
+    values are integers (`sweep` grids, `GcnConfig.widths`,
+    `SynthSpec.modules`)."""
+    name, json_type = _JSON[kind]
+    _require(not isinstance(value, bool) and isinstance(value, json_type),
+             f"{key} {value!r} is not a JSON {name}")
+    if kind in (list, tuple):
+        return kind(_convert(int, x, key) for x in value)
+    if kind is dict:
+        return {k: _convert(int, x, f"{key}.{k}") for k, x in value.items()}
     try:
-        if kind is tuple:
-            return tuple(int(x) for x in value)
-        if kind is dict:
-            return {str(k): int(x) for k, x in value.items()}
         return kind(value)
-    except (AttributeError, OverflowError, TypeError, ValueError) as exc:
+    except OverflowError as exc:
         raise ConfigError(f"{key}: {exc}") from exc
 
 
@@ -125,8 +135,8 @@ def _section(cls, raw, where: str, **given):
 
     The keys are the fields of `cls` that are neither `given` nor in
     `_NOT_KEYS`. An omitted key takes the field's default, a dataclass-typed
-    field is read as a nested section, and any other value is converted to
-    its field's type; a value that does not convert raises ConfigError
+    field is read as a nested section, and any other value must have its
+    field's JSON type (`_convert`); a value that does not raises ConfigError
     naming its dotted key.
     """
     types = get_type_hints(cls)
@@ -152,7 +162,8 @@ def _parse_config(raw: dict, path: str) -> ExperimentConfig:
     synth_seed = 0
     if synth_raw is not None:
         _require(isinstance(synth_raw, dict), "'dataset.synth' must be a JSON object")
-        synth_seed = _int_list([synth_raw.get("seed", synth_seed)], "dataset.synth.seed", 0)[0]
+        synth_seed = _convert(int, synth_raw.get("seed", synth_seed), "dataset.synth.seed")
+        _int_list([synth_seed], "dataset.synth.seed", 0)
         synth = _section(
             SynthSpec, {k: v for k, v in synth_raw.items() if k != "seed"}, "dataset.synth"
         )
@@ -182,8 +193,8 @@ def _parse_config(raw: dict, path: str) -> ExperimentConfig:
     if pipeline is not None:
         _require(pipeline in PIPELINES, f"unknown pipeline {pipeline!r}; choose from {PIPELINES}")
 
-    seeds = raw.get("seeds", [0])
-    _require(isinstance(seeds, list) and seeds, "'seeds' must be a non-empty list of integers")
+    seeds = _convert(list, raw.get("seeds", [0]), "seeds")
+    _require(seeds, "'seeds' must be a non-empty list of integers")
 
     return ExperimentConfig(
         dataset_path=dataset_path,
@@ -192,7 +203,7 @@ def _parse_config(raw: dict, path: str) -> ExperimentConfig:
         train_cfg=train_cfg,
         pipeline=pipeline,
         seeds=_int_list(seeds, "seeds", 0),
-        out_dir=str(raw.get("out_dir", "runs/out")),
+        out_dir=_convert(str, raw.get("out_dir", "runs/out"), "out_dir"),
         sweep=grid,
         interpret=interpret,
         raw=raw,
@@ -220,19 +231,33 @@ def _resolve_dataset(cfg: ExperimentConfig) -> Dataset:
     return load_dataset(path)
 
 
-class _RunLog:
-    """Collects timestamped lines; the only artifact allowed to vary."""
+class _Run:
+    """The output of one command. `path(name)` makes the directory at the
+    first artifact and records `name` as it hands out the path; `log` prints
+    a line and keeps it, timestamped, for log.txt, the only artifact allowed
+    to vary; a command adds its own fields to run.json through `doc`.
+    `close` writes log.txt and then run.json, which lists exactly the files
+    recorded. A run that records no file (`synth`) writes neither."""
 
-    def __init__(self):
+    def __init__(self, out: Path, command: str, config: dict):
+        self.out = out
+        self.doc = {"command": command, "config": config, "artifacts": []}
         self.lines = []
 
-    def add(self, message: str) -> None:
-        stamp = time.strftime("%Y-%m-%dT%H:%M:%S")
-        self.lines.append(f"{stamp} {message}")
+    def path(self, name: str) -> Path:
+        self.out.mkdir(parents=True, exist_ok=True)
+        self.doc["artifacts"].append(name)
+        return self.out / name
+
+    def log(self, message: str) -> None:
+        self.lines.append(f"{time.strftime('%Y-%m-%dT%H:%M:%S')} {message}")
         print(message)
 
-    def write(self, path: Path) -> None:
-        path.write_text("\n".join(self.lines) + "\n")
+    def close(self) -> None:
+        if self.doc["artifacts"]:
+            self.path("log.txt").write_text("\n".join(self.lines) + "\n")
+            self.doc["artifacts"].sort()
+            (self.out / "run.json").write_text(json.dumps(self.doc, indent=1, sort_keys=True))
 
 
 def _write_table(path: Path, header, rows) -> None:
@@ -242,36 +267,26 @@ def _write_table(path: Path, header, rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_run_json(out: Path, cfg: ExperimentConfig, command: str, artifacts, extra=None):
-    doc = {
-        "command": command,
-        "config": cfg.raw,
-        "artifacts": sorted(artifacts),
-    }
-    if extra:
-        doc.update(extra)
-    (out / "run.json").write_text(json.dumps(doc, indent=1, sort_keys=True))
-
-
-def cmd_synth(cfg: ExperimentConfig, out_dir: Path, log: _RunLog) -> None:
+def cmd_synth(cfg: ExperimentConfig, args, run: _Run) -> None:
     _require(cfg.synth is not None, "synth command needs a dataset.synth section")
+    if args.seed is not None:
+        cfg.synth_seed = args.seed
     ds = _resolve_dataset(cfg)
-    write_dataset(ds, out_dir)
-    log.add(
+    write_dataset(ds, run.out)
+    run.log(
         f"wrote synthetic dataset: n={ds.n} v={ds.v} t={ds.t} "
-        f"planted={cfg.synth.planted} -> {out_dir}"
+        f"planted={cfg.synth.planted} -> {run.out}"
     )
 
 
-def cmd_train(cfg: ExperimentConfig, out_dir: Path, log: _RunLog) -> None:
+def cmd_train(cfg: ExperimentConfig, args, run: _Run) -> None:
     ds = _resolve_dataset(cfg)
     [[(tm, history, test_metrics)]] = run_seeds([(cfg.train_cfg, cfg.pipeline)], ds, cfg.seeds[:1])
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    save_model(tm, out_dir / "checkpoint.json")
+    save_model(tm, run.path("checkpoint.json"))
     names = [f.name for f in fields(Metrics)]
     _write_table(
-        out_dir / "history.csv",
+        run.path("history.csv"),
         ["epoch"] + [f"{side}_{k}" for side in ("train", "val") for k in names],
         [[epoch, *mt.as_dict().values(), *mv.as_dict().values()]
          for epoch, (mt, mv) in enumerate(zip(history.train, history.val))],
@@ -283,65 +298,51 @@ def cmd_train(cfg: ExperimentConfig, out_dir: Path, log: _RunLog) -> None:
         "pipeline": tm.pipeline,
         "seed": tm.config.seed,
     }
-    (out_dir / "metrics.json").write_text(json.dumps(metrics_doc, indent=1, sort_keys=True))
-    _write_run_json(
-        out_dir,
-        cfg,
-        "train",
-        ["checkpoint.json", "history.csv", "metrics.json", "log.txt"],
-        extra={"selected_epoch": history.selected_epoch},
-    )
-    log.add(
+    run.path("metrics.json").write_text(json.dumps(metrics_doc, indent=1, sort_keys=True))
+    run.doc["selected_epoch"] = history.selected_epoch
+    run.log(
         f"trained {tm.pipeline} seed={tm.config.seed}: best epoch {history.selected_epoch}, "
         f"test auroc {test_metrics.auroc:.4f}, accuracy {test_metrics.accuracy:.4f}"
     )
 
 
-def cmd_compare(cfg: ExperimentConfig, out_dir: Path, log: _RunLog) -> None:
-    ds = _resolve_dataset(cfg)
-    rows = compare(cfg.train_cfg, ds, cfg.seeds)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_table(out_dir / "compare.csv", list(rows[0]), [row.values() for row in rows])
-    _write_run_json(out_dir, cfg, "compare", ["compare.csv", "log.txt"])
+def cmd_compare(cfg: ExperimentConfig, args, run: _Run) -> None:
+    rows = compare(cfg.train_cfg, _resolve_dataset(cfg), cfg.seeds)
+    _write_table(run.path("compare.csv"), list(rows[0]), [row.values() for row in rows])
     for row in rows:
-        log.add(
+        run.log(
             f"{row['pipeline']:>13}: AUROC {row['auroc_mean']:.3f} +- {row['auroc_std']:.3f}  "
             f"Accuracy {row['accuracy_mean']:.3f} +- {row['accuracy_std']:.3f}"
         )
 
 
-def cmd_ablate(cfg: ExperimentConfig, out_dir: Path, log: _RunLog) -> None:
-    ds = _resolve_dataset(cfg)
-    rows = ablate(cfg.train_cfg, ds, cfg.seeds)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_ablate(cfg: ExperimentConfig, args, run: _Run) -> None:
+    rows = ablate(cfg.train_cfg, _resolve_dataset(cfg), cfg.seeds)
     _write_table(
-        out_dir / "ablation.csv",
+        run.path("ablation.csv"),
         ["variant"] + [f"seed{s}" for s in cfg.seeds] + ["mean", "std"],
         [[row["variant"], *row["per_seed"], row["mean"], row["std"]] for row in rows],
     )
-    _write_run_json(out_dir, cfg, "ablate", ["ablation.csv", "log.txt"])
     for row in rows:
-        log.add(f"{row['variant']:>6}: AUROC {row['mean']:.3f} +- {row['std']:.3f}")
+        run.log(f"{row['variant']:>6}: AUROC {row['mean']:.3f} +- {row['std']:.3f}")
 
 
-def cmd_sweep(cfg: ExperimentConfig, out_dir: Path, log: _RunLog) -> None:
-    ds = _resolve_dataset(cfg)
-    rows = sweep(cfg.train_cfg, ds, cfg.sweep.windows, cfg.sweep.dims, cfg.seeds)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_table(out_dir / "sweep.csv", list(rows[0]), [row.values() for row in rows])
-    _write_run_json(out_dir, cfg, "sweep", ["sweep.csv", "log.txt"])
+def cmd_sweep(cfg: ExperimentConfig, args, run: _Run) -> None:
+    rows = sweep(cfg.train_cfg, _resolve_dataset(cfg), cfg.sweep.windows, cfg.sweep.dims,
+                 cfg.seeds)
+    _write_table(run.path("sweep.csv"), list(rows[0]), [row.values() for row in rows])
     for row in rows:
-        log.add(
+        run.log(
             f"window={row['window']} dim={row['dim']}: "
             f"AUROC {row['auroc']:.3f} accuracy {row['accuracy']:.3f}"
         )
 
 
-def cmd_interpret(cfg: ExperimentConfig, out_dir: Path, log: _RunLog, checkpoint: str) -> None:
-    _require(checkpoint is not None, "interpret command needs --checkpoint")
-    _require(Path(checkpoint).exists(), f"checkpoint '{checkpoint}' does not exist")
+def cmd_interpret(cfg: ExperimentConfig, args, run: _Run) -> None:
+    _require(args.checkpoint is not None, "interpret command needs --checkpoint")
+    _require(Path(args.checkpoint).exists(), f"checkpoint '{args.checkpoint}' does not exist")
     ds = _resolve_dataset(cfg)
-    tm = load_model(checkpoint)
+    tm = load_model(args.checkpoint)
     _require(
         tm.v == ds.v,
         f"checkpoint was trained on v={tm.v} ROIs but the dataset has v={ds.v}",
@@ -360,25 +361,24 @@ def cmd_interpret(cfg: ExperimentConfig, out_dir: Path, log: _RunLog, checkpoint
     edges = edge_ttest(graphs, labels, alpha=cfg.interpret.alpha)
     scores = module_difference_scores(edges, ds.partition, ds.v)
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    artifacts = ["log.txt", "mean_graph_all.csv", "mean_graph_all.pgm"]
-    export_matrix(mean_graph(graphs), out_dir / "mean_graph_all.csv",
-                  heatmap_path=out_dir / "mean_graph_all.pgm")
+    export_matrix(mean_graph(graphs), run.path("mean_graph_all.csv"),
+                  heatmap_path=run.path("mean_graph_all.pgm"))
     for c in sorted(set(int(x) for x in labels)):
-        artifacts.append(f"mean_graph_class{c}.csv")
-        export_matrix(mean_graph(graphs[labels == c]), out_dir / artifacts[-1])
-    _write_table(out_dir / "edges_significant.csv", ["p", "q", "t", "pvalue"],
+        export_matrix(mean_graph(graphs[labels == c]), run.path(f"mean_graph_class{c}.csv"))
+    _write_table(run.path("edges_significant.csv"), ["p", "q", "t", "pvalue"],
                  [(e.p, e.q, e.t, e.pvalue) for e in edges.edges])
-    export_scores(scores, out_dir / "module_scores.csv")
-    artifacts += ["edges_significant.csv", "module_scores.csv"]
-
-    _write_run_json(out_dir, cfg, "interpret", artifacts,
-                    extra={"n_edges_flagged": len(edges.edges), "n_edges_tested": edges.n_tested})
+    export_scores(scores, run.path("module_scores.csv"))
+    run.doc.update(n_edges_flagged=len(edges.edges), n_edges_tested=edges.n_tested)
     top = ", ".join(f"{s.module}={s.score:.4f}" for s in scores[:3])
-    log.add(
+    run.log(
         f"interpreted {len(labels)} samples: {len(edges.edges)}/{edges.n_tested} "
         f"edges flagged at alpha={cfg.interpret.alpha}; top modules: {top}"
     )
+
+
+# The subcommands, each a function of (config, parsed arguments, _Run).
+_COMMANDS = {"synth": cmd_synth, "train": cmd_train, "compare": cmd_compare,
+             "ablate": cmd_ablate, "sweep": cmd_sweep, "interpret": cmd_interpret}
 
 
 def main(argv=None) -> int:
@@ -387,7 +387,7 @@ def main(argv=None) -> int:
         description="Learnable functional-connectivity graphs: train, compare, interpret.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("synth", "train", "compare", "ablate", "sweep", "interpret"):
+    for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--seed", type=int, default=None, help="override the config seeds")
@@ -397,32 +397,16 @@ def main(argv=None) -> int:
             p.add_argument("--checkpoint", default=None, help="trained model checkpoint")
     args = parser.parse_args(argv)
 
-    log = _RunLog()
     try:
         cfg = _load_config(args.config)
         if args.seed is not None:
             cfg.seeds = _int_list([args.seed], "--seed", 0)
-            if args.command == "synth":
-                cfg.synth_seed = args.seed
         if args.epochs is not None:
             _require(args.epochs > 0, "--epochs must be positive")
             cfg.train_cfg = replace(cfg.train_cfg, epochs=args.epochs)
-        out_dir = Path(args.out) if args.out else Path(cfg.out_dir)
-
-        if args.command == "synth":
-            cmd_synth(cfg, out_dir, log)
-        elif args.command == "train":
-            cmd_train(cfg, out_dir, log)
-        elif args.command == "compare":
-            cmd_compare(cfg, out_dir, log)
-        elif args.command == "ablate":
-            cmd_ablate(cfg, out_dir, log)
-        elif args.command == "sweep":
-            cmd_sweep(cfg, out_dir, log)
-        elif args.command == "interpret":
-            cmd_interpret(cfg, out_dir, log, checkpoint=args.checkpoint)
-        if args.command != "synth":
-            log.write(out_dir / "log.txt")
+        run = _Run(Path(args.out or cfg.out_dir), args.command, cfg.raw)
+        _COMMANDS[args.command](cfg, args, run)
+        run.close()
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -64,12 +64,12 @@ class TimeSeriesSample:
     def validate(self) -> None:
         if self.x.ndim != 2 or self.x.shape[0] < 2 or self.x.shape[1] < 2:
             raise DatasetError(
-                f"sample '{self.id}': signal matrix must be at least 2x2, got {self.x.shape}"
+                f"sample {self.id!r}: signal matrix must be at least 2x2, got {self.x.shape}"
             )
         if not np.all(np.isfinite(self.x)):
-            raise DatasetError(f"sample '{self.id}': non-finite value in signal matrix")
+            raise DatasetError(f"sample {self.id!r}: non-finite value in signal matrix")
         if self.label < 0:
-            raise DatasetError(f"sample '{self.id}': negative label {self.label}")
+            raise DatasetError(f"sample {self.id!r}: negative label {self.label}")
 
 
 @dataclass
@@ -134,15 +134,15 @@ class Dataset:
         first = {}  # sample id -> index of its first sample
         for i, s in enumerate(self.samples):
             if first.setdefault(s.id, i) != i:
-                raise DatasetError(f"samples {first[s.id]} and {i} share the id '{s.id}'")
+                raise DatasetError(f"samples {first[s.id]} and {i} share the id {s.id!r}")
             s.validate()
             if s.x.shape != (v, t):
                 raise DatasetError(
-                    f"sample '{s.id}' has shape {s.x.shape}, expected {(v, t)}"
+                    f"sample {s.id!r} has shape {s.x.shape}, expected {(v, t)}"
                 )
             if s.label >= len(self.class_names):
                 raise DatasetError(
-                    f"sample '{s.id}' has label {s.label} but only "
+                    f"sample {s.id!r} has label {s.label} but only "
                     f"{len(self.class_names)} classes are declared"
                 )
         present = set(int(s.label) for s in self.samples)
@@ -355,7 +355,7 @@ def _read_text(path: Path) -> str:
     try:
         return path.read_text()
     except (OSError, ValueError) as exc:
-        raise DatasetError(f"{path}: cannot read as text ({exc})") from exc
+        raise DatasetError(f"{str(path)!r}: cannot read as text ({exc!r})") from exc
 
 
 def _read_sample_file(path: Path, v: int, t: int, sample_id: str) -> np.ndarray:
@@ -369,16 +369,16 @@ def _read_sample_file(path: Path, v: int, t: int, sample_id: str) -> np.ndarray:
             raise DatasetError(f"{path}:{lineno}: unparseable value ({exc})") from exc
         if len(parts) != t:
             raise DatasetError(
-                f"{path}:{lineno}: sample '{sample_id}' has {len(parts)} values on this line, "
+                f"{path}:{lineno}: sample {sample_id!r} has {len(parts)} values on this line, "
                 f"manifest declares t={t}"
             )
     x = np.array(rows, dtype=np.float64)
     if x.shape != (v, t):
         raise DatasetError(
-            f"{path}: sample '{sample_id}' has shape {x.shape}, manifest declares {(v, t)}"
+            f"{path}: sample {sample_id!r} has shape {x.shape}, manifest declares {(v, t)}"
         )
     if not np.all(np.isfinite(x)):
-        raise DatasetError(f"{path}: sample '{sample_id}' contains a non-finite value")
+        raise DatasetError(f"{path}: sample {sample_id!r} contains a non-finite value")
     return x
 
 
@@ -442,7 +442,7 @@ def load_dataset(path) -> Dataset:
         label = _typed(entry["label"], int, f"{where}.label")
         if label < 0 or label >= len(class_names):
             raise DatasetError(
-                f"{manifest_path}: sample '{sample_id}' has unknown label {label}"
+                f"{manifest_path}: sample {sample_id!r} has unknown label {label}"
             )
         file = root / _typed(entry["file"], str, f"{where}.file")
         try:

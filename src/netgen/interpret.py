@@ -137,16 +137,17 @@ def edge_ttest(graphs, labels, alpha: float = 0.05) -> EdgeSet:
 def module_difference_scores(edges: EdgeSet, partition: ModulePartition, v: int):
     """Exact per-module difference scores, ranked descending (ties by name).
 
-    Edge endpoints outside every module simply contribute no indicator
-    mass, which is what the score's definition computes.
+    A module's mass is the number of flagged-edge endpoints among its ROIs
+    (0..v-1); endpoints outside every module contribute no mass, which is
+    what the score's definition computes.
     """
     if not partition.modules:
         raise ValueError("module scores need a non-empty partition")
+    partition.validate_for(v)
+    ends = np.bincount([i for e in edges.edges for i in (e.p, e.q)], minlength=v)
     scores = []
-    pairs = [(min(e.p, e.q), max(e.p, e.q)) for e in edges.edges]
     for name, members in partition.modules.items():
-        member_set = set(members)
-        mass = sum((p in member_set) + (q in member_set) for p, q in pairs)
+        mass = int(ends[list(members)].sum())
         scores.append(ModuleScore(module=name, score=mass / (2.0 * v * len(members))))
     scores.sort(key=lambda s: (-s.score, s.module))
     return scores

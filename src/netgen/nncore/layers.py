@@ -110,9 +110,9 @@ class BatchNorm1d(Module):
     stats. Training mode requires batch size >= 2.
     """
 
-    def __init__(self, num_features: int, momentum: float = 0.1, eps: float = 1e-5):
-        self.eps = eps
-        self.momentum = momentum
+    MOMENTUM, EPS = 0.1, 1e-5
+
+    def __init__(self, num_features: int):
         self.gamma = Param(np.ones(num_features))
         self.beta = Param(np.zeros(num_features))
         self.running_mean = np.zeros(num_features)
@@ -130,13 +130,13 @@ class BatchNorm1d(Module):
             mean = x.mean(axis=0)
             centered = x - mean
             var = (centered * centered).mean(axis=0)
-            inv = (var + self.eps) ** -0.5
+            inv = (var + self.EPS) ** -0.5
             out = centered * inv * self.gamma + self.beta
-            m = self.momentum
+            m = self.MOMENTUM
             self.running_mean = (1 - m) * self.running_mean + m * mean.data
             self.running_var = (1 - m) * self.running_var + m * var.data * batch / (batch - 1)
             return out
-        inv = 1.0 / np.sqrt(self.running_var + self.eps)
+        inv = 1.0 / np.sqrt(self.running_var + self.EPS)
         return (x - Tensor(self.running_mean)) * Tensor(inv) * self.gamma + self.beta
 
 

@@ -14,21 +14,12 @@ class Adam:
     parameters are a fixed point.
     """
 
-    def __init__(
-        self,
-        named_params,
-        lr: float = 1e-4,
-        weight_decay: float = 1e-4,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, named_params, lr: float = 1e-4, weight_decay: float = 1e-4):
         self.named_params = list(named_params)
         self.lr = lr
         self.weight_decay = weight_decay
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = [np.zeros_like(p.data) for _, p in self.named_params]
         self.s = [np.zeros_like(p.data) for _, p in self.named_params]
@@ -40,8 +31,8 @@ class Adam:
     def step(self) -> None:
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1**t
-        bc2 = 1.0 - self.beta2**t
+        bc1 = 1.0 - self.BETA1**t
+        bc2 = 1.0 - self.BETA2**t
         for i, (name, p) in enumerate(self.named_params):
             g = p.grad
             if g is None:
@@ -50,8 +41,8 @@ class Adam:
                 raise ValueError(f"non-finite gradient for parameter '{name}'")
             if self.weight_decay:
                 g = g + self.weight_decay * p.data
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.s[i] = self.beta2 * self.s[i] + (1.0 - self.beta2) * (g * g)
+            self.m[i] = self.BETA1 * self.m[i] + (1.0 - self.BETA1) * g
+            self.s[i] = self.BETA2 * self.s[i] + (1.0 - self.BETA2) * (g * g)
             m_hat = self.m[i] / bc1
             s_hat = self.s[i] / bc2
-            p.data -= self.lr * m_hat / (np.sqrt(s_hat) + self.eps)
+            p.data -= self.lr * m_hat / (np.sqrt(s_hat) + self.EPS)

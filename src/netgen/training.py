@@ -287,7 +287,8 @@ def _check_ce_curve(ce_curve, window: int = 10) -> None:
 
 def train(config: TrainConfig, ds: Dataset, pipeline: str | None = None):
     """Mini-batch Adam over the total objective; returns the checkpoint from
-    the best-validation-AUROC epoch plus the full history."""
+    the best-validation-AUROC epoch, whose config names the encoder the
+    pipeline ran, plus the full history."""
     config.validate()
     ds.validate()
     if pipeline is None:
@@ -332,9 +333,10 @@ def train(config: TrainConfig, ds: Dataset, pipeline: str | None = None):
     for _, p in model.named_params():
         p.data = p.data.astype(np.float64)
     model.set_training(False)
+    encoder = pipeline_encoder(pipeline, config.encoder)
     tm = TrainedModel(
         model=model,
-        config=config,
+        config=config if encoder is None else replace(config, encoder=encoder),
         pipeline=pipeline,
         v=ds.v,
         t=ds.t,

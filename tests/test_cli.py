@@ -2,10 +2,12 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netgen.cli import _parse_config, main
 from netgen.dataset import SynthSpec, load_dataset
-from netgen.training import TrainConfig
+from netgen.training import ConfigError, TrainConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -45,6 +47,14 @@ def set_key(cfg, path, value):
     for part in path[:-1]:
         cfg = cfg[part]
     cfg[path[-1]] = value
+
+
+def key_paths(cfg, prefix=()):
+    """The dotted path of every key in a nested JSON object, sections too."""
+    for key, value in cfg.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from key_paths(value, prefix + (key,))
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -211,6 +221,15 @@ class TestConfigValidation:
             (("train", "split"), {"train": 0.75, "val": 0.25, "test": 0.0}, "train.split.test"),
             (("train", "split"), {"train": 0.8, "val": 0.13, "test": 0.07}, "train.split.test"),
             (("dataset",), {"path": 5}, "dataset.path"),
+            (("encoder", "window"), 8.7, "encoder.window 8.7"),
+            (("encoder", "window"), True, "encoder.window True"),
+            (("train", "epochs"), 2.9, "train.epochs 2.9"),
+            (("train", "batch_size"), "16", "train.batch_size '16'"),
+            (("train", "lr"), "1e-3", "train.lr '1e-3'"),
+            (("predictor", "widths"), [8.9, 4], "predictor.widths 8.9"),
+            (("encoder", "kind"), 5, "encoder.kind 5"),
+            (("dataset", "synth", "modules"), {"m1": 3.0, "m2": 3}, "dataset.synth.modules.m1"),
+            (("out_dir",), 5, "out_dir 5"),
         ],
     )
     def test_malformed_value_exits_2(self, tmp_path, capsys, path, value, key):
@@ -222,6 +241,52 @@ class TestConfigValidation:
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
         assert key in capsys.readouterr().err
         assert not out.exists()
+
+    # One key of a full config (a section too) set to any JSON value.
+    FUZZ_BASE = base_config(Path("unused"), pipeline="fbnetgen-gru",
+                            sweep={"windows": [4, 8], "dims": [2]},
+                            interpret={"alpha": 0.05, "split": "test"})
+    near_misses = st.sampled_from([8.0, 8.5, True, -1, 0, "8", "gru", "test", [8.0]])
+    json_values = near_misses | st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                    max_size=3),
+        max_leaves=6,
+    )
+    # The integer-valued keys and where a parsed config holds each.
+    INT_KEYS = {
+        ("dataset", "synth", "v"): lambda c: c.synth.v,
+        ("dataset", "synth", "t"): lambda c: c.synth.t,
+        ("dataset", "synth", "n"): lambda c: c.synth.n,
+        ("dataset", "synth", "modules"): lambda c: c.synth.modules,
+        ("dataset", "synth", "seed"): lambda c: c.synth_seed,
+        ("encoder", "window"): lambda c: c.train_cfg.encoder.window,
+        ("encoder", "dim"): lambda c: c.train_cfg.encoder.dim,
+        ("predictor", "widths"): lambda c: list(c.train_cfg.predictor.widths),
+        ("predictor", "mlp_hidden"): lambda c: c.train_cfg.predictor.mlp_hidden,
+        ("train", "batch_size"): lambda c: c.train_cfg.batch_size,
+        ("train", "epochs"): lambda c: c.train_cfg.epochs,
+        ("seeds",): lambda c: c.seeds,
+        ("sweep", "windows"): lambda c: c.sweep.windows,
+        ("sweep", "dims"): lambda c: c.sweep.dims,
+    }
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(sorted(key_paths(FUZZ_BASE))), json_values)
+    def test_config_fuzz_raises_only_config_error(self, path, value):
+        raw = json.loads(json.dumps(self.FUZZ_BASE))
+        set_key(raw, path, value)
+        try:
+            cfg = _parse_config(raw, "config.json")
+        except ConfigError:
+            return
+        for key, get in self.INT_KEYS.items():
+            want = raw
+            for part in key:
+                want = want.get(part, {}) if isinstance(want, dict) else {}
+            if want != {}:
+                # json.dumps tells 8 from 8.0 and True from 1
+                assert json.dumps(get(cfg)) == json.dumps(want), key
 
     def test_omitted_keys_take_dataclass_defaults(self):
         cfg = _parse_config({"dataset": {"synth": {}}}, "config.json")
@@ -315,6 +380,8 @@ class TestRerun:
             assert main(args + extra) == 0
         first = read_bytes_without_log(tmp_path / "a")
         assert first and first == read_bytes_without_log(tmp_path / "b")
+        listed = json.loads(first["run.json"])["artifacts"]
+        assert listed == sorted(p.name for p in (tmp_path / "a").iterdir() if p.name != "run.json")
 
 
 class TestInterpretCommand:

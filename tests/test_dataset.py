@@ -248,11 +248,14 @@ class TestRoundTrip:
              "modules.csv", "module 'b' overlaps another module on ROIs [0]"),
             (lambda m, d: (d / "modules.csv").write_text("0,a\n1,a\n1,a\n2,b\n3,b\n"),
              "modules.csv", "module 'a' repeats an ROI index"),
+            (lambda m, d: m["samples"][1].update(file="\ud800"), MANIFEST, "samples[1].file"),
+            (lambda m, d: [s.update(id="\ud800") for s in m["samples"][:2]], MANIFEST,
+             "samples 0 and 1 share the id"),
         ],
         ids=["no-id", "no-label", "no-file", "v-string", "label-string", "label-float",
              "entry-not-object", "samples-not-list", "classes-string", "duplicate-id",
              "ragged-row", "sample-file-is-dir", "modules-file-is-dir", "sample-not-utf8",
-             "module-overlap", "module-repeat"],
+             "module-overlap", "module-repeat", "file-lone-surrogate", "id-lone-surrogate"],
     )
     def test_malformed_manifest_entry_names_key(self, tmp_path, mutate, where, key):
         write_dataset(small_dataset(), tmp_path / "d")
@@ -263,6 +266,7 @@ class TestRoundTrip:
         with pytest.raises(DatasetError) as exc:
             load_dataset(tmp_path / "d")
         assert str(tmp_path / "d" / where) in str(exc.value) and key in str(exc.value)
+        str(exc.value).encode("utf-8")
 
     # Manifest mutations: a dropped key, a key set to any JSON value (or a bad
     # label, or an odd `file` string), or a sample entry replaced outright.

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netgen.dataset import ModulePartition, SynthSpec, generate_synthetic
+from netgen.dataset import DatasetError, ModulePartition, SynthSpec, generate_synthetic
 from netgen.encoders import EncoderConfig
 from netgen.graphgen import LossWeights
 from netgen.interpret import (
@@ -180,6 +180,31 @@ class TestModuleScores:
         fwd = module_difference_scores(edge_set([(0, 3)]), partition, v=4)
         rev = module_difference_scores(edge_set([(3, 0)]), partition, v=4)
         assert fwd == rev
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=100)
+    def test_matches_loop_over_modules_and_edges(self, seed):
+        # the reference: for each module, count the flagged-edge endpoints
+        # among its ROIs, one edge at a time
+        rng = np.random.default_rng(seed)
+        v = int(rng.integers(2, 30))
+        rois = rng.permutation(v)[: int(rng.integers(1, v + 1))]
+        cuts = np.sort(rng.choice(np.arange(1, len(rois) + 1), size=int(rng.integers(0, 4))))
+        blocks = [b for b in np.split(rois, cuts) if len(b)]
+        partition = ModulePartition({f"m{i}": b.tolist() for i, b in enumerate(blocks)})
+        pairs = [(int(p), int(q)) for p, q in rng.integers(0, v, size=(int(rng.integers(0, 40)), 2))
+                 if p != q]
+        want = []
+        for name, members in partition.modules.items():
+            mass = sum((p in members) + (q in members) for p, q in pairs)
+            want.append((name, mass / (2.0 * v * len(members))))
+        want.sort(key=lambda s: (-s[1], s[0]))
+        got = module_difference_scores(edge_set(pairs, v=v), partition, v=v)
+        assert [(s.module, s.score) for s in got] == want
+
+    def test_partition_outside_the_rois_rejected(self):
+        with pytest.raises(DatasetError, match="outside 0..3"):
+            module_difference_scores(edge_set([]), ModulePartition({"a": [0, 5]}), v=4)
 
     def test_empty_partition_rejected(self):
         with pytest.raises(ValueError, match="non-empty partition"):

@@ -290,6 +290,14 @@ class TestCheckpointRoundTrip:
         assert loaded.v == ds.v and loaded.t == ds.t
         assert loaded.class_names == ds.class_names
 
+    def test_meta_names_the_encoder_the_pipeline_runs(self, tmp_path):
+        tm, _ = train(tiny_config(epochs=1), tiny_dataset(t=40), pipeline="fbnetgen-cnn")
+        save_model(tm, tmp_path / "ckpt.json")
+        meta = json.loads((tmp_path / "ckpt.json").read_text())["meta"]
+        loaded = load_model(tmp_path / "ckpt.json")
+        assert tm.config.encoder.kind == meta["encoder"]["kind"] == "cnn"
+        assert loaded.config.encoder == tm.config.encoder
+
     @pytest.mark.parametrize(
         "corrupt,key",
         [
