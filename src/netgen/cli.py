@@ -184,6 +184,8 @@ def _parse_config(raw: dict, path: str) -> ExperimentConfig:
         raise ConfigError(str(exc)) from exc
     _int_list(grid.windows, "sweep.windows", 1)
     _int_list(grid.dims, "sweep.dims", 1)
+    _require(0 < interpret.alpha <= 1,  # false for NaN too
+             f"interpret.alpha {interpret.alpha!r} is not a significance level in (0, 1]")
     _require(
         interpret.split in ("all", "train", "val", "test"),
         "interpret.split must be one of all/train/val/test",
@@ -217,6 +219,8 @@ def _load_config(path: str) -> ExperimentConfig:
         raw = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: malformed JSON ({exc})") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file {path!r} cannot be read as text ({exc})") from exc
     return _parse_config(raw, path)
 
 

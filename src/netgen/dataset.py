@@ -15,6 +15,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,23 +54,12 @@ def write_matrix_csv(matrix: np.ndarray, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-@dataclass
-class TimeSeriesSample:
-    """One subject: a (v, t) signal matrix and a class label."""
+class TimeSeriesSample(NamedTuple):
+    """One subject of a Dataset: its id, (v, t) signal matrix and label."""
 
     id: str
     x: np.ndarray
     label: int
-
-    def validate(self) -> None:
-        if self.x.ndim != 2 or self.x.shape[0] < 2 or self.x.shape[1] < 2:
-            raise DatasetError(
-                f"sample {self.id!r}: signal matrix must be at least 2x2, got {self.x.shape}"
-            )
-        if not np.all(np.isfinite(self.x)):
-            raise DatasetError(f"sample {self.id!r}: non-finite value in signal matrix")
-        if self.label < 0:
-            raise DatasetError(f"sample {self.id!r}: negative label {self.label}")
 
 
 @dataclass
@@ -103,53 +93,63 @@ class ModulePartition:
 
 @dataclass
 class Dataset:
-    samples: list
+    """n subjects: their `ids`, signals `x` ((n, v, t) float64) and labels
+    `y` ((n,) int64), with the ROI partition and the class names."""
+
+    ids: list
+    x: np.ndarray
+    y: np.ndarray
     partition: ModulePartition
     class_names: list
 
     @property
     def n(self) -> int:
-        return len(self.samples)
+        return self.x.shape[0]
 
     @property
     def v(self) -> int:
-        return self.samples[0].x.shape[0]
+        return self.x.shape[1]
 
     @property
     def t(self) -> int:
-        return self.samples[0].x.shape[1]
+        return self.x.shape[2]
+
+    @property
+    def samples(self) -> list:
+        """The subjects as TimeSeriesSample records, in order; each `x` is
+        a view of its row of `Dataset.x`."""
+        return [TimeSeriesSample(*s) for s in zip(self.ids, self.x, self.y.tolist())]
 
     def labels(self) -> np.ndarray:
-        return np.array([s.label for s in self.samples], dtype=np.int64)
+        return self.y.copy()
 
     def validate(self) -> None:
-        if not self.samples:
-            raise DatasetError("dataset has no samples")
+        """DatasetError for the first fault, naming the sample at fault."""
         if len(self.class_names) != 2:
             raise DatasetError(
                 f"the task is binary but the dataset declares {len(self.class_names)} "
                 f"classes {self.class_names}"
             )
-        v, t = self.samples[0].x.shape
+        if not self.ids:
+            raise DatasetError("dataset has no samples")
+        if self.x.ndim != 3 or self.y.shape != (len(self.ids),) or self.n != len(self.ids):
+            raise DatasetError(f"ids, x {self.x.shape} and y {self.y.shape} differ in length")
+        if self.v < 2 or self.t < 2:
+            raise DatasetError(f"signal matrices must be at least 2x2, got {self.x.shape[1:]}")
         first = {}  # sample id -> index of its first sample
-        for i, s in enumerate(self.samples):
-            if first.setdefault(s.id, i) != i:
-                raise DatasetError(f"samples {first[s.id]} and {i} share the id {s.id!r}")
-            s.validate()
-            if s.x.shape != (v, t):
-                raise DatasetError(
-                    f"sample {s.id!r} has shape {s.x.shape}, expected {(v, t)}"
-                )
-            if s.label >= len(self.class_names):
-                raise DatasetError(
-                    f"sample {s.id!r} has label {s.label} but only "
-                    f"{len(self.class_names)} classes are declared"
-                )
-        present = set(int(s.label) for s in self.samples)
-        missing = [c for c in range(len(self.class_names)) if c not in present]
+        for i, name in enumerate(self.ids):
+            if first.setdefault(name, i) != i:
+                raise DatasetError(f"samples {first[name]} and {i} share the id {name!r}")
+        bad = np.flatnonzero(~np.isfinite(self.x).all(axis=(1, 2)))
+        if bad.size:
+            raise DatasetError(f"sample {self.ids[bad[0]]!r}: non-finite value in signal matrix")
+        bad = np.flatnonzero((self.y < 0) | (self.y >= len(self.class_names)))
+        if bad.size:
+            raise DatasetError(f"sample {self.ids[bad[0]]!r} has unknown label {self.y[bad[0]]}")
+        missing = sorted(set(range(len(self.class_names))) - set(self.y.tolist()))
         if missing:
             raise DatasetError(f"classes {missing} have no samples")
-        self.partition.validate_for(v)
+        self.partition.validate_for(self.v)
 
 
 @dataclass
@@ -187,33 +187,37 @@ class SynthSpec:
 
 
 def zscore_normalize(x: np.ndarray) -> np.ndarray:
-    """Zero-mean unit-variance rows; constant rows map to all zeros."""
+    """Zero-mean unit-variance rows of a (v, t) matrix, or of each matrix of
+    an (n, v, t) stack; constant rows map to all zeros."""
     x = np.asarray(x, dtype=np.float64)
-    mean = x.mean(axis=1, keepdims=True)
-    std = x.std(axis=1, keepdims=True)
+    mean = x.mean(axis=-1, keepdims=True)
+    std = x.std(axis=-1, keepdims=True)
     out = np.zeros_like(x)
     np.divide(x - mean, std, out=out, where=std > 0)
     return out
 
 
 def pearson_features(x: np.ndarray) -> np.ndarray:
-    """Pairwise Pearson correlations of the rows of x.
+    """Pairwise Pearson correlations of the rows of a (v, t) matrix, or of
+    each matrix of an (n, v, t) stack.
 
     Rows with zero variance correlate 0 with everything else and 1 with
     themselves, so no NaN ever reaches downstream layers.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] < 2:
-        raise ValueError(f"pearson_features needs a (v, t) matrix with t >= 2, got {x.shape}")
-    centered = x - x.mean(axis=1, keepdims=True)
-    norms = np.sqrt((centered * centered).sum(axis=1))
+    if x.ndim not in (2, 3) or x.shape[-1] < 2:
+        raise ValueError(f"pearson_features needs (v, t) or (n, v, t) with t >= 2, got {x.shape}")
+    centered = x - x.mean(axis=-1, keepdims=True)
+    norms = np.sqrt((centered * centered).sum(axis=-1))
     safe = np.where(norms > 0, norms, 1.0)
-    unit = centered / safe[:, None]
-    corr = unit @ unit.T
-    corr[norms == 0, :] = 0.0
-    corr[:, norms == 0] = 0.0
+    unit = centered / safe[..., None]
+    corr = unit @ unit.swapaxes(-1, -2)
+    *stack, rows = np.nonzero(norms == 0)  # (matrix, row) of each constant row
+    corr[(*stack, rows)] = 0.0
+    corr[(*stack, slice(None), rows)] = 0.0
     np.clip(corr, -1.0, 1.0, out=corr)
-    np.fill_diagonal(corr, 1.0)
+    diagonal = np.arange(x.shape[-2])
+    corr[..., diagonal, diagonal] = 1.0
     return corr
 
 
@@ -234,7 +238,7 @@ def split(ds: Dataset, spec: SplitSpec):
     shuffled class fills the floors of its shares, then in class order its
     leftovers go to the first split, by largest remainder, with room left."""
     ratios = spec.ratios()
-    labels = ds.labels()
+    labels = ds.y
     rng = np.random.default_rng(spec.seed)
     classes = sorted(set(int(c) for c in labels))
     shuffled = []
@@ -269,11 +273,8 @@ def split(ds: Dataset, spec: SplitSpec):
 
     def subset(indices):
         indices = sorted(indices)
-        return Dataset(
-            samples=[ds.samples[i] for i in indices],
-            partition=ds.partition,
-            class_names=list(ds.class_names),
-        )
+        return Dataset(ids=[ds.ids[i] for i in indices], x=ds.x[indices], y=ds.y[indices],
+                       partition=ds.partition, class_names=list(ds.class_names))
 
     return subset(assignment[0]), subset(assignment[1]), subset(assignment[2])
 
@@ -302,21 +303,20 @@ def generate_synthetic(spec: SynthSpec, seed: int) -> Dataset:
 
     rng = np.random.default_rng(seed)
     time = np.arange(spec.t) / spec.t
-    samples = []
+    y = np.arange(spec.n, dtype=np.int64) % 2
+    x = np.empty((spec.n, spec.v, spec.t))
     for i in range(spec.n):
-        label = i % 2
-        x = np.empty((spec.v, spec.t))
         for name, rois in drivers:
             freq = rng.uniform(1.0, 4.0)
             phase = rng.uniform(0.0, 2.0 * np.pi)
             driver = np.sin(2.0 * np.pi * freq * time + phase)
             driver = driver + 0.3 * rng.standard_normal(spec.t)
-            coupling = 1.0 + (spec.effect if (label == 1 and name == spec.planted) else 0.0)
+            coupling = 1.0 + (spec.effect if (y[i] == 1 and name == spec.planted) else 0.0)
             for r in rois:
-                x[r] = coupling * driver + spec.noise * rng.standard_normal(spec.t)
-        samples.append(TimeSeriesSample(id=f"s{i:04d}", x=x, label=label))
+                x[i, r] = coupling * driver + spec.noise * rng.standard_normal(spec.t)
 
-    ds = Dataset(samples=samples, partition=partition, class_names=["class0", "class1"])
+    ds = Dataset(ids=[f"s{i:04d}" for i in range(spec.n)], x=x, y=y, partition=partition,
+                 class_names=["class0", "class1"])
     ds.validate()
     return ds
 
@@ -327,10 +327,10 @@ def write_dataset(ds: Dataset, path) -> None:
     (root / "samples").mkdir(parents=True, exist_ok=True)
 
     entries = []
-    for s in ds.samples:
-        rel = f"samples/{s.id}.csv"
-        write_matrix_csv(s.x, root / rel)
-        entries.append({"id": s.id, "label": int(s.label), "file": rel})
+    for sample_id, x, label in zip(ds.ids, ds.x, ds.y.tolist()):
+        rel = f"samples/{sample_id}.csv"
+        write_matrix_csv(x, root / rel)
+        entries.append({"id": sample_id, "label": label, "file": rel})
 
     module_lines = []
     for name in sorted(ds.partition.modules):
@@ -392,7 +392,8 @@ def _typed(value, kind, where: str):
     return value
 
 
-def _read_modules(path: Path) -> ModulePartition:
+def _read_modules(path: Path, v: int) -> ModulePartition:
+    """The partition in `path`, with every ROI index in 0..v-1."""
     modules: dict = {}
     text = _read_text(path).strip("\n")
     for lineno, line in enumerate(text.split("\n"), start=1):
@@ -405,9 +406,11 @@ def _read_modules(path: Path) -> ModulePartition:
             raise DatasetError(f"{path}:{lineno}: expected 'roi_index,module_name'") from exc
         modules.setdefault(name.strip(), []).append(roi)
     try:
-        return ModulePartition(modules)
+        partition = ModulePartition(modules)
+        partition.validate_for(v)
     except DatasetError as exc:
         raise DatasetError(f"{path}: {exc}") from exc
+    return partition
 
 
 def load_dataset(path) -> Dataset:
@@ -432,33 +435,33 @@ def load_dataset(path) -> Dataset:
     for i, name in enumerate(class_names):
         _typed(name, str, f"{manifest_path}: classes[{i}]")
 
-    samples = []
+    ids, xs, labels = [], [], []
     for i, entry in enumerate(_typed(manifest["samples"], list, f"{manifest_path}: 'samples'")):
         where = f"{manifest_path}: samples[{i}]"
         for key in ("id", "label", "file"):
             if key not in _typed(entry, dict, where):
                 raise DatasetError(f"{where} has no '{key}'")
-        sample_id = _typed(entry["id"], str, f"{where}.id")
-        label = _typed(entry["label"], int, f"{where}.label")
-        if label < 0 or label >= len(class_names):
-            raise DatasetError(
-                f"{manifest_path}: sample {sample_id!r} has unknown label {label}"
-            )
+        ids.append(_typed(entry["id"], str, f"{where}.id"))
+        labels.append(_typed(entry["label"], int, f"{where}.label"))
         file = root / _typed(entry["file"], str, f"{where}.file")
         try:
-            x = _read_sample_file(file, v, t, sample_id)
+            xs.append(_read_sample_file(file, v, t, ids[-1]))
         except DatasetError as exc:
             raise DatasetError(f"{where}.file: {exc}") from exc
-        samples.append(TimeSeriesSample(id=sample_id, x=x, label=label))
 
     where = f"{manifest_path}: 'modules_file'"
     modules_path = root / _typed(manifest["modules_file"], str, where)
     try:
-        partition = _read_modules(modules_path)
+        partition = _read_modules(modules_path, v)
     except DatasetError as exc:
         raise DatasetError(f"{where}: {exc}") from exc
 
-    ds = Dataset(samples=samples, partition=partition, class_names=class_names)
+    try:
+        y = np.array(labels, dtype=np.int64)
+    except OverflowError as exc:
+        raise DatasetError(f"{manifest_path}: a sample label does not fit in int64") from exc
+    # An empty `samples` array stacks to shape (0,): `validate` reports it
+    ds = Dataset(ids=ids, x=np.array(xs), y=y, partition=partition, class_names=class_names)
     try:
         ds.validate()
     except DatasetError as exc:

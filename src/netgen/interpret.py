@@ -12,9 +12,9 @@ from pathlib import Path
 import numpy as np
 from scipy import special
 
-from .dataset import ModulePartition, Dataset, format_value, write_matrix_csv
+from .dataset import ModulePartition, Dataset, format_value, write_matrix_csv, zscore_normalize
 from .nncore import Tensor
-from .training import TrainedModel, _eval_batches, _signals
+from .training import TrainedModel, _eval_batches
 
 __all__ = [
     "EdgeStat",
@@ -66,7 +66,7 @@ def collect_graphs(tm: TrainedModel, ds: Dataset):
             f"pipeline '{tm.pipeline}' does not generate graphs; "
             "interpretation needs a learnable-graph checkpoint"
         )
-    xs = _signals(ds)
+    xs = zscore_normalize(ds.x)
     tm.model.set_training(False)
     out = [tm.model.graphs(Tensor(xs[batch])).data for batch in _eval_batches(ds.n)]
     return np.concatenate(out, axis=0), ds.labels()

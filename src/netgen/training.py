@@ -180,17 +180,6 @@ def total_loss(logits: Tensor, labels, graphs, weights: LossWeights):
     return total, comps
 
 
-def _signals(ds: Dataset) -> np.ndarray:
-    """Stacked z-scored signals of a split."""
-    return np.stack([zscore_normalize(s.x) for s in ds.samples])
-
-
-def _prepare_arrays(ds: Dataset):
-    """Stack (z-scored signals, Pearson features, labels) for a split."""
-    feats = np.stack([pearson_features(s.x) for s in ds.samples])
-    return _signals(ds), feats, ds.labels()
-
-
 # Rows per forward in an eval-mode pass: validation, `evaluate` and
 # `interpret.collect_graphs`.
 EVAL_BATCH = 64
@@ -236,7 +225,8 @@ def evaluate(tm: TrainedModel, ds: Dataset) -> Metrics:
     """AUROC, accuracy and mean loss components of a trained model on a split."""
     if ds.n == 0:
         raise ValueError("cannot evaluate on an empty split")
-    return _run_batches(tm.model, _prepare_arrays(ds), _eval_batches(ds.n), tm.config.loss)
+    arrays = zscore_normalize(ds.x), pearson_features(ds.x), ds.y
+    return _run_batches(tm.model, arrays, _eval_batches(ds.n), tm.config.loss)
 
 
 def train_splits(config: TrainConfig, ds: Dataset):
@@ -248,7 +238,7 @@ def train_splits(config: TrainConfig, ds: Dataset):
         parts = split(ds, spec)
     except ValueError as exc:
         raise ConfigError(f"train.split.train {spec.train} (split seed {spec.seed}): {exc}") from exc
-    val_classes = sorted(set(parts[1].labels().tolist()))
+    val_classes = sorted(set(parts[1].y.tolist()))
     if len(val_classes) < 2:
         raise ConfigError(
             f"train.split.val {spec.val} (split seed {spec.seed}) gives a validation split of "
@@ -296,7 +286,8 @@ def train(config: TrainConfig, ds: Dataset, pipeline: str | None = None):
     gcn_cfg = replace(config.predictor, n_classes=len(ds.class_names))
 
     train_ds, val_ds, _ = train_splits(config, ds)
-    train_arrays, val_arrays = _prepare_arrays(train_ds), _prepare_arrays(val_ds)
+    train_arrays, val_arrays = [(zscore_normalize(part.x), pearson_features(part.x), part.y)
+                                for part in (train_ds, val_ds)]
 
     seeds = np.random.SeedSequence(config.seed).spawn(2)
     with nn.default_dtype(TRAIN_DTYPE):
@@ -415,7 +406,6 @@ def run_seeds(cells, ds: Dataset, seeds, window_key: str = "encoder.window") -> 
     AUROC cannot score. Pipeline None is `train`'s default.
     """
     ds.validate()
-    tests = []
     for config, pipeline in cells:
         config.validate()
         pipeline = pipeline or f"fbnetgen-{config.encoder.kind}"
@@ -425,23 +415,21 @@ def run_seeds(cells, ds: Dataset, seeds, window_key: str = "encoder.window") -> 
                 f"{window_key} {config.encoder.window} is too long for the series: the "
                 f"{pipeline} pipeline needs t >= {enc.min_length()}, the dataset has t={ds.t}"
             )
-        tests.append([])
         for seed in seeds:
             _, _, test = train_splits(config.seeded(seed), ds)
-            classes = sorted(set(test.labels().tolist()))
+            classes = sorted(set(test.y.tolist()))
             if len(classes) < 2:
                 raise ConfigError(
                     f"train.split.test {config.split.test} (split seed {seed}) gives a test "
                     f"split of {test.n} samples with classes {classes}; it needs both classes"
                 )
-            tests[-1].append(test)
 
-    def run(config, pipeline, seed, test):
+    # Each run cuts its test split again, so no copy of one is held per run.
+    def run(config, pipeline, seed):
         tm, history = train(config.seeded(seed), ds, pipeline)
-        return tm, history, evaluate(tm, test)
+        return tm, history, evaluate(tm, train_splits(config.seeded(seed), ds)[2])
 
-    return [[run(config, pipeline, seed, test) for seed, test in zip(seeds, cell_tests)]
-            for (config, pipeline), cell_tests in zip(cells, tests)]
+    return [[run(config, pipeline, seed) for seed in seeds] for config, pipeline in cells]
 
 
 def ablate(config: TrainConfig, ds: Dataset, seeds) -> list:

@@ -129,6 +129,16 @@ class TestConfigValidation:
         path.write_text("{oops")
         assert main(["train", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("make", [lambda p: p.write_bytes(b'{"dataset": "\xff"}'),
+                                      lambda p: p.mkdir()], ids=["not-utf8", "directory"])
+    def test_unreadable_config_exits_2_naming_file(self, tmp_path, capsys, make):
+        path = tmp_path / "bad.json"
+        make(path)
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(path), "--out", str(out)]) == 2
+        assert repr(str(path)) in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_key_exits_2_without_partial_output(self, tmp_path, capsys):
         raw = base_config(tmp_path)
         raw["trian"] = raw.pop("train")
@@ -230,6 +240,11 @@ class TestConfigValidation:
             (("encoder", "kind"), 5, "encoder.kind 5"),
             (("dataset", "synth", "modules"), {"m1": 3.0, "m2": 3}, "dataset.synth.modules.m1"),
             (("out_dir",), 5, "out_dir 5"),
+            (("interpret",), {"alpha": 2}, "interpret.alpha 2"),
+            (("interpret",), {"alpha": 0}, "interpret.alpha 0"),
+            (("interpret",), {"alpha": -1}, "interpret.alpha -1"),
+            (("interpret",), {"alpha": float("nan")}, "interpret.alpha nan"),
+            (("interpret",), {"alpha": float("inf")}, "interpret.alpha inf"),
         ],
     )
     def test_malformed_value_exits_2(self, tmp_path, capsys, path, value, key):

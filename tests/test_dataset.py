@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -14,7 +14,6 @@ from netgen.dataset import (
     ModulePartition,
     SplitSpec,
     SynthSpec,
-    TimeSeriesSample,
     generate_synthetic,
     load_dataset,
     pearson_features,
@@ -29,12 +28,10 @@ MANIFEST = "manifest.json"
 
 def small_dataset(n=6, v=4, t=8, seed=0):
     rng = np.random.default_rng(seed)
-    samples = [
-        TimeSeriesSample(id=f"s{i}", x=rng.standard_normal((v, t)), label=i % 2)
-        for i in range(n)
-    ]
+    x = np.stack([rng.standard_normal((v, t)) for _ in range(n)])
     partition = ModulePartition({"a": range(0, v // 2), "b": range(v // 2, v)})
-    return Dataset(samples=samples, partition=partition, class_names=["c0", "c1"])
+    return Dataset(ids=[f"s{i}" for i in range(n)], x=x, y=np.arange(n) % 2,
+                   partition=partition, class_names=["c0", "c1"])
 
 
 class TestPearson:
@@ -95,6 +92,14 @@ class TestZscore:
         assert np.all(np.abs(zscore_normalize(once) - once) < 1e-12)
 
 
+@pytest.mark.parametrize("v,t", [(20, 64), (264, 32)])
+def test_stacked_features_equal_each_matrix_features(v, t):
+    x = np.random.default_rng(v).standard_normal((5, v, t))
+    x[2, 3] = 0.1  # a constant row
+    assert np.array_equal(zscore_normalize(x), np.stack([zscore_normalize(m) for m in x]))
+    assert np.array_equal(pearson_features(x), np.stack([pearson_features(m) for m in x]))
+
+
 class TestSplit:
     def test_spec_ratio_sizes(self):
         ds = small_dataset(n=10)
@@ -143,6 +148,13 @@ class TestSplit:
             split(ds, SplitSpec(0.5, 0.1, 0.1, seed=0))
 
 
+def file_bytes(tokens):
+    """File contents: `tokens` that parse or not, separators and a byte
+    that is not UTF-8."""
+    separators = [b",", b",", b"\n", b"\n", b" ", b"\r", b"", b"\xff", b"x"]
+    return st.lists(st.sampled_from(tokens + separators), max_size=30).map(b"".join)
+
+
 class TestRoundTrip:
     def test_write_then_load_round_trips(self, tmp_path):
         ds = small_dataset()
@@ -160,8 +172,7 @@ class TestRoundTrip:
 
     def test_values_representable_at_declared_precision_round_trip_exactly(self, tmp_path):
         ds = small_dataset()
-        for s in ds.samples:
-            s.x = np.vectorize(lambda u: float("%.9g" % u))(s.x)
+        ds.x = np.vectorize(lambda u: float("%.9g" % u))(ds.x)
         write_dataset(ds, tmp_path / "d")
         loaded = load_dataset(tmp_path / "d")
         for a, b in zip(ds.samples, loaded.samples):
@@ -169,7 +180,7 @@ class TestRoundTrip:
 
     def test_empty_dataset_rejected(self, tmp_path):
         ds = small_dataset()
-        ds.samples = []
+        ds.ids, ds.x, ds.y = [], ds.x[:0], ds.y[:0]
         with pytest.raises(DatasetError, match="no samples"):
             write_dataset(ds, tmp_path / "d")
 
@@ -334,6 +345,49 @@ class TestRoundTrip:
         with pytest.raises(DatasetError, match="non-finite"):
             load_dataset(tmp_path / "d")
 
+    def test_empty_samples_array_names_manifest(self, tmp_path):
+        write_dataset(small_dataset(), tmp_path / "d")
+        manifest = json.loads((tmp_path / "d" / MANIFEST).read_text())
+        manifest["samples"] = []
+        (tmp_path / "d" / MANIFEST).write_text(json.dumps(manifest))
+        with pytest.raises(DatasetError, match="no samples") as exc:
+            load_dataset(tmp_path / "d")
+        assert str(tmp_path / "d" / MANIFEST) in str(exc.value)
+
+    def test_label_beyond_int64_names_manifest(self, tmp_path):
+        write_dataset(small_dataset(), tmp_path / "d")
+        manifest = json.loads((tmp_path / "d" / MANIFEST).read_text())
+        manifest["samples"][1]["label"] = 2**70
+        (tmp_path / "d" / MANIFEST).write_text(json.dumps(manifest))
+        with pytest.raises(DatasetError, match="label") as exc:
+            load_dataset(tmp_path / "d")
+        assert str(tmp_path / "d" / MANIFEST) in str(exc.value)
+
+    def fuzz_file(self, name, content):
+        """load_dataset on a v=3, t=4, n=4 dataset whose `name` holds `content`:
+        a DatasetError must name that file."""
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            write_dataset(small_dataset(n=4, v=3, t=4), root)
+            (root / name).write_bytes(content)
+            try:
+                load_dataset(root)
+            except DatasetError as exc:
+                assert str(root / name) in str(exc)
+
+    @settings(max_examples=200, deadline=None)
+    @given(file_bytes([b"0", b"1.5", b"-2e-3", b"1_0", b"nan", b"inf", b"1e999"]))
+    @example(b"1,2,3,4\n5,6,7,8\n9,10,11,12\n")
+    @example(b"1,2,3,4\n5,6,7,8\n9,10,11,nan\n")
+    def test_sample_file_fuzz_raises_only_dataset_error_naming_it(self, content):
+        self.fuzz_file("samples/s1.csv", content)
+
+    @settings(max_examples=200, deadline=None)
+    @given(file_bytes([b"0", b"1", b"2", b"3", b"99", b"-1", b"1e3", b"a", b"b"]))
+    @example(b"0,m1\n99,m2\n")
+    def test_modules_file_fuzz_raises_only_dataset_error_naming_it(self, content):
+        self.fuzz_file("modules.csv", content)
+
 
 class TestSynthetic:
     def test_fixed_seed_is_bit_identical(self):
@@ -409,14 +463,13 @@ class TestValidation:
 
     def test_duplicate_sample_id_rejected_before_writing(self, tmp_path):
         ds = small_dataset()
-        ds.samples[3].id = "s1"
+        ds.ids[3] = "s1"
         with pytest.raises(DatasetError, match="samples 1 and 3 share the id 's1'"):
             write_dataset(ds, tmp_path / "d")
         assert not (tmp_path / "d").exists()
 
     def test_missing_class_rejected(self):
         ds = small_dataset()
-        for s in ds.samples:
-            s.label = 0
+        ds.y = np.zeros(ds.n, dtype=np.int64)
         with pytest.raises(DatasetError, match="no samples"):
             ds.validate()

@@ -253,8 +253,11 @@ class TestEvaluate:
     def test_single_class_split_needs_explicit_opt_in(self):
         ds = tiny_dataset()
         tm, _ = train(tiny_config(epochs=1), ds)
+        zeros = np.flatnonzero(ds.y == 0)
         single = Dataset(
-            samples=[s for s in ds.samples if s.label == 0],
+            ids=[ds.ids[i] for i in zeros],
+            x=ds.x[zeros],
+            y=ds.y[zeros],
             partition=ds.partition,
             class_names=ds.class_names,
         )

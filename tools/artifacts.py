@@ -11,6 +11,8 @@ windows [4, 8] x dims [2, 4]:
 - `train` for each of the six pipelines, and `train --seed 7 --epochs 2`
 - `interpret` on the fbnetgen-gru and fbnetgen-cnn checkpoints, split "test"
 - `compare`, `ablate` and `sweep`
+- `synth` into `dataset/`, then `train` and `interpret` (fbnetgen-gru) on a
+  config whose dataset section is `{"path": ...}`, which loads those files
 
 It runs once with integer literals in the float-valued keys (`int/`) and
 once with floats (`float/`). Every `log.txt` is dropped, since it is the one
@@ -68,10 +70,13 @@ def recipe_config(v: dict) -> dict:
 
 def run_recipe(src: Path, out: Path) -> None:
     env = {**os.environ, "PYTHONPATH": str(src.resolve() / "src")}
+    out = out.resolve()
 
+    # Every command runs in OUT, so a dataset path in a config (and in the
+    # run.json that records it) is the same relative path on every tree.
     def netgen(*args) -> None:
         done = subprocess.run([sys.executable, "-m", "netgen", *map(str, args)], env=env,
-                              capture_output=True, text=True)
+                              cwd=out, capture_output=True, text=True)
         if done.returncode != 0:
             print(f"netgen {' '.join(map(str, args))} exited {done.returncode}:\n{done.stderr}",
                   file=sys.stderr)
@@ -94,6 +99,13 @@ def run_recipe(src: Path, out: Path) -> None:
                    "--checkpoint", root / f"train-{pipeline}" / "checkpoint.json")
         for command in ("compare", "ablate", "sweep"):
             netgen(command, "--config", config, "--out", root / command)
+        netgen("synth", "--config", config, "--out", root / "dataset")
+        config = root / "config-path.json"
+        config.write_text(json.dumps({**base, "dataset": {"path": f"{name}/dataset"},
+                                      "pipeline": "fbnetgen-gru"}, indent=1))
+        netgen("train", "--config", config, "--out", root / "train-path")
+        netgen("interpret", "--config", config, "--out", root / "interpret-path",
+               "--checkpoint", root / "train-path" / "checkpoint.json")
 
 
 def write_manifest(out: Path) -> dict:
