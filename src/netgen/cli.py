@@ -351,6 +351,10 @@ def cmd_interpret(cfg: ExperimentConfig, args, run: _Run) -> None:
         tm.v == ds.v,
         f"checkpoint was trained on v={tm.v} ROIs but the dataset has v={ds.v}",
     )
+    _require(
+        tm.t == ds.t,
+        f"checkpoint was trained on series of length t={tm.t} but the dataset has t={ds.t}",
+    )
     name = cfg.interpret.split
     if name != "all":
         spec = cfg.train_cfg.seeded(cfg.seeds[0]).split

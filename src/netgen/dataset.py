@@ -164,7 +164,8 @@ class SplitSpec:
     def ratios(self):
         r = (self.train, self.val, self.test)
         if not all(np.isfinite(x) and x >= 0 for x in r) or abs(sum(r) - 1.0) > 1e-9:
-            raise ValueError(f"split ratios must be finite, non-negative and sum to 1, got {r}")
+            raise ValueError(f"train.split: split ratios must be finite, non-negative and "
+                             f"sum to 1, got {r}")
         return r
 
 
@@ -393,7 +394,7 @@ def _typed(value, kind, where: str):
 
 
 def _read_modules(path: Path, v: int) -> ModulePartition:
-    """The partition in `path`, with every ROI index in 0..v-1."""
+    """The partition in `path`: at least one module, every ROI index in 0..v-1."""
     modules: dict = {}
     text = _read_text(path).strip("\n")
     for lineno, line in enumerate(text.split("\n"), start=1):
@@ -405,6 +406,8 @@ def _read_modules(path: Path, v: int) -> ModulePartition:
         except ValueError as exc:
             raise DatasetError(f"{path}:{lineno}: expected 'roi_index,module_name'") from exc
         modules.setdefault(name.strip(), []).append(roi)
+    if not modules:
+        raise DatasetError(f"{path}: holds no modules")
     try:
         partition = ModulePartition(modules)
         partition.validate_for(v)

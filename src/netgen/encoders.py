@@ -23,11 +23,11 @@ class EncoderConfig:
 
     def validate(self) -> None:
         if self.kind not in ("cnn", "gru"):
-            raise ValueError(f"encoder kind must be 'cnn' or 'gru', got {self.kind!r}")
+            raise ValueError(f"encoder.kind must be 'cnn' or 'gru', got {self.kind!r}")
         if self.window < 1:
-            raise ValueError(f"window must be positive, got {self.window}")
+            raise ValueError(f"encoder.window must be positive, got {self.window}")
         if self.dim < 1:
-            raise ValueError(f"embedding dim must be positive, got {self.dim}")
+            raise ValueError(f"encoder.dim: embedding dim must be positive, got {self.dim}")
 
     def min_length(self) -> int:
         """Shortest series the encoder accepts: one segment for the GRU, the

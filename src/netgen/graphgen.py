@@ -40,7 +40,8 @@ class LossWeights:
         for name in ("alpha", "beta", "gamma"):
             value = getattr(self, name)
             if not np.isfinite(value) or value < 0:
-                raise ValueError(f"loss weight {name} must be a finite non-negative real")
+                raise ValueError(f"loss.{name}: loss weight must be a finite non-negative "
+                                 f"real, got {value!r}")
 
 
 def generate_graph(h_e) -> Tensor:

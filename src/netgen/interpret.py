@@ -61,7 +61,7 @@ class ModuleScore:
 
 def collect_graphs(tm: TrainedModel, ds: Dataset):
     """Generated graph per sample, eval mode, encoder + generator only."""
-    if not hasattr(tm.model, "graphs"):
+    if tm.model.graph != "generated":
         raise ValueError(
             f"pipeline '{tm.pipeline}' does not generate graphs; "
             "interpretation needs a learnable-graph checkpoint"

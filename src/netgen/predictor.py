@@ -1,4 +1,4 @@
-"""GCN classifier over (A, F) plus the non-learnable-graph baselines.
+"""GCN classifier over (A, F), and the one model every pipeline builds.
 
 The GCN update is the literal h <- ReLU(A h W + b) with no degree
 normalization: generated graphs have entries bounded by 1, which keeps
@@ -7,7 +7,7 @@ sum, followed by batch norm and a 2-layer MLP head.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,10 +19,7 @@ from .nncore import Tensor
 __all__ = [
     "GcnConfig",
     "GcnPredictor",
-    "build_uniform_graph",
-    "LearnableGraphModel",
-    "FixedGraphModel",
-    "SequenceModel",
+    "Model",
     "PIPELINES",
     "build_model",
     "pipeline_encoder",
@@ -38,16 +35,13 @@ class GcnConfig:
 
     def validate(self) -> None:
         if self.pooling not in ("concat", "sum"):
-            raise ValueError(f"pooling must be 'concat' or 'sum', got {self.pooling!r}")
+            raise ValueError(f"predictor.pooling must be 'concat' or 'sum', got {self.pooling!r}")
         if len(self.widths) < 1 or any(w < 1 for w in self.widths):
-            raise ValueError(f"layer widths must be positive, got {self.widths}")
-        if self.mlp_hidden < 1 or self.n_classes < 2:
-            raise ValueError("mlp_hidden must be >= 1 and n_classes >= 2")
-
-
-def build_uniform_graph(v: int) -> np.ndarray:
-    """All-ones adjacency, the node-feature-only control graph."""
-    return np.ones((v, v))
+            raise ValueError(f"predictor.widths: layer widths must be positive, got {self.widths}")
+        if self.mlp_hidden < 1:
+            raise ValueError(f"predictor.mlp_hidden must be >= 1, got {self.mlp_hidden}")
+        if self.n_classes < 2:
+            raise ValueError(f"n_classes must be >= 2, got {self.n_classes}")
 
 
 class _MlpHead(nn.Module):
@@ -94,82 +88,65 @@ class GcnPredictor(_MlpHead):
     __call__ = forward
 
 
-class LearnableGraphModel(nn.Module):
-    """Encoder -> graph generator -> GCN -> head; the full pipeline."""
+# Each pipeline as (encoder kind or None, graph): the graph the GCN runs on is
+# generated from the encoder, all-ones, the raw Pearson matrix, or None, where
+# the encoder embeddings go straight into the MLP head.
+_PIPELINES = {
+    "fbnetgen-cnn": ("cnn", "generated"),
+    "fbnetgen-gru": ("gru", "generated"),
+    "gnn-uniform": (None, "uniform"),
+    "gnn-pearson": (None, "pearson"),
+    "seq-cnn": ("cnn", None),
+    "seq-gru": ("gru", None),
+}
+PIPELINES = tuple(_PIPELINES)
 
-    def __init__(self, encoder_cfg: EncoderConfig, gcn_cfg: GcnConfig, v: int, rng):
-        self.encoder = build_encoder(encoder_cfg, rng)
-        self.gcn = GcnPredictor(gcn_cfg, v, in_features=v, rng=rng)
+
+class Model(_MlpHead):
+    """One pipeline of the comparison table: encoder -> graph -> GCN -> head,
+    with the parts its `_PIPELINES` row leaves out switched off."""
+
+    def __init__(self, pipeline: str, encoder_cfg: EncoderConfig, gcn_cfg: GcnConfig, v: int,
+                 rng: np.random.Generator):
+        encoder = pipeline_encoder(pipeline, encoder_cfg)
+        self.graph = _PIPELINES[pipeline][1]
+        if encoder is not None:
+            self.encoder = build_encoder(encoder, rng)
+        if self.graph is None:
+            self._build_head(v * encoder_cfg.dim, gcn_cfg, rng)
+        else:
+            self.gcn = GcnPredictor(gcn_cfg, v, in_features=v, rng=rng)
 
     def forward(self, x, features):
-        h_e = self.encoder(x)
-        graphs = generate_graph(h_e)
-        logits = self.gcn(graphs, features)
-        return logits, graphs
+        """(logits, generated graphs or None)."""
+        if self.graph is None:
+            h_e = self.encoder(x)
+            b, v, d = h_e.shape
+            return self.classify(h_e.reshape((b, v * d))), None
+        feats = nn.as_tensor(features)
+        graphs = None
+        if self.graph == "generated":
+            adjacency = graphs = self.graphs(x)
+        elif self.graph == "uniform":
+            b, v, _ = feats.shape
+            adjacency = Tensor(np.broadcast_to(np.ones((v, v)), (b, v, v)))
+        else:
+            adjacency = Tensor(feats.data)
+        return self.gcn(adjacency, feats), graphs
 
     def graphs(self, x) -> Tensor:
         return generate_graph(self.encoder(x))
 
 
-class FixedGraphModel(nn.Module):
-    """GCN over a fixed adjacency: all-ones or the raw Pearson matrix."""
-
-    def __init__(self, graph_kind: str, gcn_cfg: GcnConfig, v: int, rng):
-        if graph_kind not in ("uniform", "pearson"):
-            raise ValueError(f"unknown fixed graph kind {graph_kind!r}")
-        self.graph_kind = graph_kind
-        self.v = v
-        self.gcn = GcnPredictor(gcn_cfg, v, in_features=v, rng=rng)
-
-    def forward(self, x, features):
-        feats = nn.as_tensor(features)
-        if self.graph_kind == "uniform":
-            b = feats.shape[0]
-            adjacency = Tensor(np.broadcast_to(build_uniform_graph(self.v), (b, self.v, self.v)))
-        else:
-            adjacency = Tensor(feats.data)
-        return self.gcn(adjacency, feats), None
-
-
-class SequenceModel(_MlpHead):
-    """Encoder embeddings concatenated straight into the MLP head; no graph."""
-
-    def __init__(self, encoder_cfg: EncoderConfig, gcn_cfg: GcnConfig, v: int, rng):
-        self.encoder = build_encoder(encoder_cfg, rng)
-        self._build_head(v * encoder_cfg.dim, gcn_cfg, rng)
-
-    def forward(self, x, features=None):
-        h_e = self.encoder(x)
-        b, v, d = h_e.shape
-        return self.classify(h_e.reshape((b, v * d))), None
-
-
-PIPELINES = (
-    "fbnetgen-cnn",
-    "fbnetgen-gru",
-    "gnn-uniform",
-    "gnn-pearson",
-    "seq-cnn",
-    "seq-gru",
-)
-
-
 def build_model(pipeline: str, encoder_cfg: EncoderConfig, gcn_cfg: GcnConfig, v: int, seed: int):
     """Instantiate a pipeline by its comparison-table name."""
-    if pipeline not in PIPELINES:
-        raise ValueError(f"unknown pipeline {pipeline!r}; choose one of {PIPELINES}")
-    rng = np.random.default_rng(seed)
-    cfg = pipeline_encoder(pipeline, encoder_cfg)
-    if cfg is None:
-        return FixedGraphModel(pipeline.split("-", 1)[1], gcn_cfg, v, rng)
-    cls = LearnableGraphModel if pipeline.startswith("fbnetgen-") else SequenceModel
-    return cls(cfg, gcn_cfg, v, rng)
+    return Model(pipeline, encoder_cfg, gcn_cfg, v, np.random.default_rng(seed))
 
 
 def pipeline_encoder(pipeline: str, encoder_cfg: EncoderConfig):
     """The encoder a pipeline runs, or None for the fixed-graph pipelines:
-    its kind comes from the pipeline name, window and dim from `encoder_cfg`."""
-    family, kind = pipeline.split("-", 1)
-    if family == "gnn":
-        return None
-    return EncoderConfig(kind=kind, window=encoder_cfg.window, dim=encoder_cfg.dim)
+    its kind comes from the pipeline's row, window and dim from `encoder_cfg`."""
+    if pipeline not in _PIPELINES:
+        raise ValueError(f"unknown pipeline {pipeline!r}; choose one of {PIPELINES}")
+    kind = _PIPELINES[pipeline][0]
+    return None if kind is None else replace(encoder_cfg, kind=kind)

@@ -84,10 +84,15 @@ class TrainConfig:
         self.encoder.validate()
         self.predictor.validate()
         self.loss.validate()
-        if not (np.isfinite(self.lr) and self.lr > 0) or self.batch_size <= 0 or self.epochs <= 0:
-            raise ValueError("lr must be finite and positive, batch_size and epochs positive")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"train.lr must be finite and positive, got {self.lr!r}")
+        if self.batch_size <= 0:
+            raise ValueError(f"train.batch_size must be positive, got {self.batch_size!r}")
+        if self.epochs <= 0:
+            raise ValueError(f"train.epochs must be positive, got {self.epochs!r}")
         if not (np.isfinite(self.weight_decay) and self.weight_decay >= 0):
-            raise ValueError("weight_decay must be finite and non-negative")
+            raise ValueError(f"train.weight_decay must be finite and non-negative, "
+                             f"got {self.weight_decay!r}")
         self.split.ratios()
         if self.split.val <= 0:
             raise ValueError("train.split.val must be positive: the best-validation epoch "
@@ -367,7 +372,7 @@ def load_model(path) -> TrainedModel:
     try:
         model = build_model(pipeline, encoder_cfg, gcn_cfg, v=v, seed=0)
         model.load_state(arrays)
-    except (TypeError, ValueError, nn.CheckpointError) as exc:
+    except (TypeError, ValueError, MemoryError, nn.CheckpointError) as exc:
         raise nn.CheckpointError(f"checkpoint {path} does not fit its model: {exc}") from exc
     model.set_training(False)
     config = TrainConfig(encoder=encoder_cfg, predictor=gcn_cfg, loss=loss)

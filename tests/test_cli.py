@@ -245,6 +245,19 @@ class TestConfigValidation:
             (("interpret",), {"alpha": -1}, "interpret.alpha -1"),
             (("interpret",), {"alpha": float("nan")}, "interpret.alpha nan"),
             (("interpret",), {"alpha": float("inf")}, "interpret.alpha inf"),
+            (("train", "lr"), -1, "train.lr must be finite and positive"),
+            (("train", "batch_size"), 0, "train.batch_size must be positive"),
+            (("train", "epochs"), 0, "train.epochs must be positive"),
+            (("train", "weight_decay"), -1, "train.weight_decay must be finite"),
+            (("encoder", "kind"), "lstm", "encoder.kind must be 'cnn' or 'gru'"),
+            (("encoder", "window"), 0, "encoder.window must be positive, got 0"),
+            (("encoder", "dim"), 0, "encoder.dim: embedding dim must be positive"),
+            (("predictor", "pooling"), "max", "predictor.pooling must be 'concat' or 'sum'"),
+            (("predictor", "widths"), [0], "predictor.widths: layer widths must be positive"),
+            (("predictor", "mlp_hidden"), 0, "predictor.mlp_hidden must be >= 1"),
+            (("loss", "alpha"), -1, "loss.alpha: loss weight must be"),
+            (("train", "split"), {"train": 0.5, "val": 0.2, "test": 0.2},
+             "train.split: split ratios must"),
         ],
     )
     def test_malformed_value_exits_2(self, tmp_path, capsys, path, value, key):
@@ -443,6 +456,24 @@ class TestInterpretCommand:
                      "--checkpoint", str(run / "checkpoint.json")]) == 2
         assert "interpret.split" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_series_length_unlike_the_checkpoints_exits_2_without_output(self, tmp_path, capsys):
+        # window 4 needs t >= 32: t=24 is too short, t=64 a length never trained on
+        raw = base_config(tmp_path, pipeline="fbnetgen-cnn",
+                          encoder={"kind": "cnn", "window": 4, "dim": 4})
+        raw["dataset"]["synth"]["t"] = 40
+        run = tmp_path / "run"
+        assert main(["train", "--config", write_config(tmp_path, raw), "--out", str(run)]) == 0
+        for t in (24, 64):
+            raw["dataset"]["synth"]["t"] = t
+            cfg = write_config(tmp_path, raw, name=f"t{t}.json")
+            out = tmp_path / f"interp{t}"
+            capsys.readouterr()
+            assert main(["interpret", "--config", cfg, "--out", str(out),
+                         "--checkpoint", str(run / "checkpoint.json")]) == 2
+            err = capsys.readouterr().err
+            assert "t=40" in err and f"t={t}" in err
+            assert not out.exists()
 
     def test_missing_checkpoint_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, base_config(tmp_path))

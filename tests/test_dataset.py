@@ -259,6 +259,7 @@ class TestRoundTrip:
              "modules.csv", "module 'b' overlaps another module on ROIs [0]"),
             (lambda m, d: (d / "modules.csv").write_text("0,a\n1,a\n1,a\n2,b\n3,b\n"),
              "modules.csv", "module 'a' repeats an ROI index"),
+            (lambda m, d: (d / "modules.csv").write_text(""), "modules.csv", "holds no modules"),
             (lambda m, d: m["samples"][1].update(file="\ud800"), MANIFEST, "samples[1].file"),
             (lambda m, d: [s.update(id="\ud800") for s in m["samples"][:2]], MANIFEST,
              "samples 0 and 1 share the id"),
@@ -266,7 +267,8 @@ class TestRoundTrip:
         ids=["no-id", "no-label", "no-file", "v-string", "label-string", "label-float",
              "entry-not-object", "samples-not-list", "classes-string", "duplicate-id",
              "ragged-row", "sample-file-is-dir", "modules-file-is-dir", "sample-not-utf8",
-             "module-overlap", "module-repeat", "file-lone-surrogate", "id-lone-surrogate"],
+             "module-overlap", "module-repeat", "modules-empty", "file-lone-surrogate",
+             "id-lone-surrogate"],
     )
     def test_malformed_manifest_entry_names_key(self, tmp_path, mutate, where, key):
         write_dataset(small_dataset(), tmp_path / "d")

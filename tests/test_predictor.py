@@ -9,9 +9,8 @@ from netgen.predictor import (
     GcnConfig,
     GcnPredictor,
     PIPELINES,
-    SequenceModel,
     build_model,
-    build_uniform_graph,
+    pipeline_encoder,
 )
 
 
@@ -151,8 +150,17 @@ class TestPooling:
 
 
 class TestBaselineGraphs:
-    def test_uniform_graph_is_all_ones(self):
-        assert np.array_equal(build_uniform_graph(3), np.ones((3, 3)))
+    @pytest.mark.parametrize("pipeline", ["gnn-uniform", "gnn-pearson"])
+    def test_fixed_graph_logits_are_the_gcn_over_that_graph(self, pipeline):
+        model = build_model(pipeline, EncoderConfig(), GcnConfig(widths=(4, 4), mlp_hidden=4),
+                            v=4, seed=0)
+        model.set_training(False)
+        x = np.random.default_rng(9).standard_normal((3, 4, 16))
+        feats = pearson_features(x)
+        adjacency = np.ones((3, 4, 4)) if pipeline == "gnn-uniform" else feats
+        logits, graphs = model.forward(Tensor(x), Tensor(feats))
+        assert graphs is None
+        assert np.array_equal(logits.data, model.gcn(Tensor(adjacency), Tensor(feats)).data)
 
     def test_pearson_graph_keeps_signed_weights(self):
         t = np.linspace(0, 1, 16)
@@ -196,6 +204,14 @@ class TestModels:
     def test_unknown_pipeline_rejected(self):
         with pytest.raises(ValueError, match="unknown pipeline"):
             build_model("gnn-magic", EncoderConfig(), GcnConfig(), v=4, seed=0)
+        with pytest.raises(ValueError, match="unknown pipeline"):
+            pipeline_encoder("fbnetgen", EncoderConfig())
+
+    def test_pipeline_encoder_takes_its_kind_from_the_pipeline(self):
+        enc = EncoderConfig(kind="gru", window=5, dim=3)
+        assert pipeline_encoder("seq-cnn", enc) == EncoderConfig(kind="cnn", window=5, dim=3)
+        assert pipeline_encoder("fbnetgen-gru", enc) == enc
+        assert pipeline_encoder("gnn-pearson", enc) is None
 
     @pytest.mark.parametrize("pipeline", PIPELINES)
     def test_state_round_trip(self, pipeline):
@@ -232,18 +248,18 @@ class TestModels:
 
     def test_sequence_model_head_shape(self):
         enc = EncoderConfig(kind="gru", window=4, dim=4)
-        model = SequenceModel(enc, GcnConfig(mlp_hidden=8), v=5, rng=np.random.default_rng(0))
+        model = build_model("seq-gru", enc, GcnConfig(mlp_hidden=8), v=5, seed=0)
         x = np.random.default_rng(1).standard_normal((2, 5, 16))
-        logits, graphs = model.forward(Tensor(x))
+        logits, graphs = model.forward(Tensor(x), None)
         assert logits.shape == (2, 2) and graphs is None
 
     def test_sequence_model_gradient_check(self):
         enc = EncoderConfig(kind="gru", window=4, dim=3)
-        model = SequenceModel(enc, GcnConfig(mlp_hidden=6), v=4, rng=np.random.default_rng(3))
+        model = build_model("seq-gru", enc, GcnConfig(mlp_hidden=6), v=4, seed=3)
         x = np.random.default_rng(4).standard_normal((3, 4, 12))
 
         def loss():
-            logits, _ = model.forward(Tensor(x))
+            logits, _ = model.forward(Tensor(x), None)
             return (logits * logits).sum()
 
         # the encoder output bias feeds straight into train-mode batch norm,
