@@ -13,13 +13,11 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import get_type_hints
 
 from .dataset import (
     Dataset,
-    SplitSpec,
     SynthSpec,
     generate_synthetic,
     load_dataset,
@@ -41,6 +39,10 @@ from .training import (
     ConfigError,
     Metrics,
     TrainConfig,
+    _convert,
+    _object,
+    _require,
+    _section,
     ablate,
     compare,
     load_model,
@@ -82,69 +84,12 @@ class ExperimentConfig:
 _TOP_LEVEL = ("dataset", "encoder", "predictor", "loss", "train", "pipeline", "seeds",
               "out_dir", "sweep", "interpret")
 
-# Dataclass fields the program sets itself; a config naming one is rejected
-# like any other unknown key.
-_NOT_KEYS = {TrainConfig: ("seed",), SplitSpec: ("seed",), GcnConfig: ("n_classes",)}
-
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise ConfigError(message)
-
 
 def _int_list(values, key: str, least: int) -> list:
     """`values`, a list of ints, if every entry is >= `least`."""
     for x in values:
         _require(x >= least, f"{key} {x!r} is not an integer >= {least}")
     return values
-
-
-def _object(raw, keys, where: str) -> dict:
-    _require(isinstance(raw, dict), f"'{where}' must be a JSON object")
-    unknown = sorted(set(raw) - set(keys))
-    _require(not unknown, f"unknown keys {unknown} in '{where}' section")
-    return raw
-
-
-# The JSON type each field type takes: its name, and the Python types json
-# reads it as. A float key takes an integer literal too.
-_JSON = {int: ("integer", int), float: ("number", (int, float)), str: ("string", str),
-         list: ("array", list), tuple: ("array", list), dict: ("object", dict)}
-
-
-def _convert(kind, value, key: str):
-    """`value` as a `kind` if it has the JSON type of `kind`, else
-    ConfigError naming `key`; a bool is no number. Array entries and object
-    values are integers (`sweep` grids, `GcnConfig.widths`,
-    `SynthSpec.modules`)."""
-    name, json_type = _JSON[kind]
-    _require(not isinstance(value, bool) and isinstance(value, json_type),
-             f"{key} {value!r} is not a JSON {name}")
-    if kind in (list, tuple):
-        return kind(_convert(int, x, key) for x in value)
-    if kind is dict:
-        return {k: _convert(int, x, f"{key}.{k}") for k, x in value.items()}
-    try:
-        return kind(value)
-    except OverflowError as exc:
-        raise ConfigError(f"{key}: {exc}") from exc
-
-
-def _section(cls, raw, where: str, **given):
-    """Build dataclass `cls` from the JSON object `raw` (section `where`)
-    plus the fields already built in `given`.
-
-    The keys are the fields of `cls` that are neither `given` nor in
-    `_NOT_KEYS`. An omitted key takes the field's default, a dataclass-typed
-    field is read as a nested section, and any other value must have its
-    field's JSON type (`_convert`); a value that does not raises ConfigError
-    naming its dotted key.
-    """
-    types = get_type_hints(cls)
-    keys = set(types) - set(given) - set(_NOT_KEYS.get(cls, ()))
-    for key, value in _object(raw, keys, where).items():
-        kind, name = types[key], f"{where}.{key}"
-        given[key] = _section(kind, value, name) if is_dataclass(kind) else _convert(kind, value, name)
-    return cls(**given)
 
 
 def _parse_config(raw: dict, path: str) -> ExperimentConfig:
@@ -178,10 +123,6 @@ def _parse_config(raw: dict, path: str) -> ExperimentConfig:
     )
     grid = _section(_SweepGrid, raw.get("sweep", {}), "sweep")
     interpret = _section(_Interpret, raw.get("interpret", {}), "interpret")
-    try:
-        train_cfg.validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     _int_list(grid.windows, "sweep.windows", 1)
     _int_list(grid.dims, "sweep.dims", 1)
     _require(0 < interpret.alpha <= 1,  # false for NaN too
@@ -226,10 +167,7 @@ def _load_config(path: str) -> ExperimentConfig:
 
 def _resolve_dataset(cfg: ExperimentConfig) -> Dataset:
     if cfg.synth is not None:
-        try:
-            return generate_synthetic(cfg.synth, seed=cfg.synth_seed)
-        except ValueError as exc:
-            raise ConfigError(f"dataset.synth: {exc}") from exc
+        return generate_synthetic(cfg.synth, seed=cfg.synth_seed)
     path = Path(cfg.dataset_path)
     _require(path.exists(), f"dataset path '{path}' does not exist")
     return load_dataset(path)

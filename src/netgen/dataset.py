@@ -152,7 +152,7 @@ class Dataset:
         self.partition.validate_for(self.v)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SplitSpec:
     """Train/val/test ratios plus the shuffle seed."""
 
@@ -161,15 +161,17 @@ class SplitSpec:
     test: float = 0.2
     seed: int = 0
 
-    def ratios(self):
-        r = (self.train, self.val, self.test)
+    def __post_init__(self) -> None:
+        r = self.ratios()
         if not all(np.isfinite(x) and x >= 0 for x in r) or abs(sum(r) - 1.0) > 1e-9:
             raise ValueError(f"train.split: split ratios must be finite, non-negative and "
                              f"sum to 1, got {r}")
-        return r
+
+    def ratios(self):
+        return (self.train, self.val, self.test)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SynthSpec:
     """Planted-structure generator settings.
 
@@ -185,6 +187,24 @@ class SynthSpec:
     planted: str = "m1"
     effect: float = 2.0
     noise: float = 1.0
+
+    def __post_init__(self) -> None:
+        for key, size in (("v", self.v), ("t", self.t)):
+            if size < 2:
+                raise ValueError(f"dataset.synth.{key} must be at least 2 (signal matrices are "
+                                 f"at least 2x2), got {size}")
+        if self.planted not in self.modules:
+            raise ValueError(f"dataset.synth: planted module '{self.planted}' is not in the "
+                             "partition")
+        if self.n < 4:
+            raise ValueError(f"dataset.synth: need at least 4 samples (2 per class), got {self.n}")
+        if self.effect < 0:
+            raise ValueError(f"dataset.synth: effect size must be >= 0, got {self.effect}")
+        if sum(self.modules.values()) > self.v:
+            raise ValueError("dataset.synth: module sizes exceed the number of ROIs")
+        for name, size in self.modules.items():
+            if size < 1:
+                raise ValueError(f"dataset.synth: module '{name}' must contain at least one ROI")
 
 
 def zscore_normalize(x: np.ndarray) -> np.ndarray:
@@ -282,20 +302,9 @@ def split(ds: Dataset, spec: SplitSpec):
 
 def generate_synthetic(spec: SynthSpec, seed: int) -> Dataset:
     """Balanced two-class dataset with class signal planted in one module."""
-    if spec.planted not in spec.modules:
-        raise ValueError(f"planted module '{spec.planted}' is not in the partition")
-    if spec.n < 4:
-        raise ValueError(f"need at least 4 samples (2 per class), got {spec.n}")
-    if spec.effect < 0:
-        raise ValueError(f"effect size must be >= 0, got {spec.effect}")
-    if sum(spec.modules.values()) > spec.v:
-        raise ValueError("module sizes exceed the number of ROIs")
-
     blocks = {}
     start = 0
     for name, size in spec.modules.items():
-        if size < 1:
-            raise ValueError(f"module '{name}' must contain at least one ROI")
         blocks[name] = tuple(range(start, start + size))
         start += size
     partition = ModulePartition(blocks)

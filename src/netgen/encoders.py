@@ -15,13 +15,13 @@ from . import nncore as nn
 __all__ = ["EncoderConfig", "CnnEncoder", "GruEncoder", "build_encoder"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class EncoderConfig:
     kind: str = "gru"  # "cnn" or "gru"
     window: int = 16  # tau: CNN first kernel width / GRU segment length
     dim: int = 8  # d: embedding size per ROI
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.kind not in ("cnn", "gru"):
             raise ValueError(f"encoder.kind must be 'cnn' or 'gru', got {self.kind!r}")
         if self.window < 1:
@@ -48,7 +48,6 @@ class CnnEncoder(nn.Module):
     KERNELS = ((32, None, 2), (32, 8, 1), (16, 8, 1))  # (out_channels, kernel, stride)
 
     def __init__(self, cfg: EncoderConfig, rng: np.random.Generator):
-        cfg.validate()
         self.cfg = cfg
         self.conv1 = nn.Conv1d(1, 32, cfg.window, 2, rng)
         self.conv2 = nn.Conv1d(32, 32, 8, 1, rng)
@@ -88,7 +87,6 @@ class GruEncoder(nn.Module):
     LAYERS = 4
 
     def __init__(self, cfg: EncoderConfig, rng: np.random.Generator):
-        cfg.validate()
         self.cfg = cfg
         hid = cfg.window
         self.gru = []
@@ -121,5 +119,4 @@ class GruEncoder(nn.Module):
 
 
 def build_encoder(cfg: EncoderConfig, rng: np.random.Generator):
-    cfg.validate()
     return CnnEncoder(cfg, rng) if cfg.kind == "cnn" else GruEncoder(cfg, rng)

@@ -30,13 +30,13 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LossWeights:
     alpha: float = 1e-3  # group intra
     beta: float = 1e-3  # group inter
     gamma: float = 1e-4  # sparsity
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name in ("alpha", "beta", "gamma"):
             value = getattr(self, name)
             if not np.isfinite(value) or value < 0:

@@ -14,7 +14,7 @@ from scipy import special
 
 from .dataset import ModulePartition, Dataset, format_value, write_matrix_csv, zscore_normalize
 from .nncore import Tensor
-from .training import TrainedModel, _eval_batches
+from .training import ConfigError, TrainedModel, _eval_batches
 
 __all__ = [
     "EdgeStat",
@@ -62,7 +62,7 @@ class ModuleScore:
 def collect_graphs(tm: TrainedModel, ds: Dataset):
     """Generated graph per sample, eval mode, encoder + generator only."""
     if tm.model.graph != "generated":
-        raise ValueError(
+        raise ConfigError(
             f"pipeline '{tm.pipeline}' does not generate graphs; "
             "interpretation needs a learnable-graph checkpoint"
         )

@@ -26,14 +26,14 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class GcnConfig:
     widths: tuple = (32, 32, 8)
     pooling: str = "concat"  # "concat" or "sum"
     mlp_hidden: int = 32
     n_classes: int = 2
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.pooling not in ("concat", "sum"):
             raise ValueError(f"predictor.pooling must be 'concat' or 'sum', got {self.pooling!r}")
         if len(self.widths) < 1 or any(w < 1 for w in self.widths):
@@ -60,7 +60,6 @@ class GcnPredictor(_MlpHead):
     """k-layer GCN, pooling, batch norm, MLP head."""
 
     def __init__(self, cfg: GcnConfig, v: int, in_features: int, rng: np.random.Generator):
-        cfg.validate()
         self.cfg = cfg
         dims = (in_features,) + cfg.widths
         self.gcn = [nn.Dense(dims[i], dims[i + 1], rng) for i in range(len(cfg.widths))]

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import itertools
 import logging
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, asdict, is_dataclass, replace
+from typing import get_type_hints
 
 import numpy as np
 
@@ -68,7 +69,7 @@ class Metrics:
         return asdict(self)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
     predictor: GcnConfig = field(default_factory=GcnConfig)
@@ -80,20 +81,17 @@ class TrainConfig:
     seed: int = 0
     split: SplitSpec = field(default_factory=SplitSpec)
 
-    def validate(self) -> None:
-        self.encoder.validate()
-        self.predictor.validate()
-        self.loss.validate()
+    def __post_init__(self) -> None:
         if not (np.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"train.lr must be finite and positive, got {self.lr!r}")
-        if self.batch_size <= 0:
-            raise ValueError(f"train.batch_size must be positive, got {self.batch_size!r}")
+        if self.batch_size < 2:
+            raise ValueError(f"train.batch_size must be positive and at least 2, since every "
+                             f"head batch-normalizes its batch; got {self.batch_size!r}")
         if self.epochs <= 0:
             raise ValueError(f"train.epochs must be positive, got {self.epochs!r}")
         if not (np.isfinite(self.weight_decay) and self.weight_decay >= 0):
             raise ValueError(f"train.weight_decay must be finite and non-negative, "
                              f"got {self.weight_decay!r}")
-        self.split.ratios()
         if self.split.val <= 0:
             raise ValueError("train.split.val must be positive: the best-validation epoch "
                              "is selected on the validation split")
@@ -101,6 +99,68 @@ class TrainConfig:
     def seeded(self, seed: int) -> "TrainConfig":
         """This config with `seed` driving model init, batch order and the split."""
         return replace(self, seed=seed, split=replace(self.split, seed=seed))
+
+
+# Dataclass fields the program sets itself; a config naming one is rejected
+# like any other unknown key.
+_NOT_KEYS = {TrainConfig: ("seed",), SplitSpec: ("seed",), GcnConfig: ("n_classes",)}
+
+
+def _require(cond: bool, message: str) -> None:
+    if not cond:
+        raise ConfigError(message)
+
+
+def _object(raw, keys, where: str) -> dict:
+    _require(isinstance(raw, dict), f"'{where}' must be a JSON object")
+    unknown = sorted(set(raw) - set(keys))
+    _require(not unknown, f"unknown keys {unknown} in '{where}' section")
+    return raw
+
+
+# The JSON type each field type takes: its name, and the Python types json
+# reads it as. A float key takes an integer literal too.
+_JSON = {int: ("integer", int), float: ("number", (int, float)), str: ("string", str),
+         list: ("array", list), tuple: ("array", list), dict: ("object", dict)}
+
+
+def _convert(kind, value, key: str):
+    """`value` as a `kind` if it has the JSON type of `kind`, else
+    ConfigError naming `key`; a bool is no number. Array entries and object
+    values are integers (`sweep` grids, `GcnConfig.widths`,
+    `SynthSpec.modules`)."""
+    name, json_type = _JSON[kind]
+    _require(not isinstance(value, bool) and isinstance(value, json_type),
+             f"{key} {value!r} is not a JSON {name}")
+    if kind in (list, tuple):
+        return kind(_convert(int, x, key) for x in value)
+    if kind is dict:
+        return {k: _convert(int, x, f"{key}.{k}") for k, x in value.items()}
+    try:
+        return kind(value)
+    except OverflowError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
+def _section(cls, raw, where: str, **given):
+    """Build dataclass `cls` from the JSON object `raw` (section `where`)
+    plus the fields already built in `given`.
+
+    The keys are the fields of `cls` that are neither `given` nor in
+    `_NOT_KEYS`. An omitted key takes the field's default, a dataclass-typed
+    field is read as a nested section, and any other value must have its
+    field's JSON type (`_convert`); a value that does not raises ConfigError
+    naming its dotted key, as does a value `cls` refuses when it is built.
+    """
+    types = get_type_hints(cls)
+    keys = set(types) - set(given) - set(_NOT_KEYS.get(cls, ()))
+    for key, value in _object(raw, keys, where).items():
+        kind, name = types[key], f"{where}.{key}"
+        given[key] = _section(kind, value, name) if is_dataclass(kind) else _convert(kind, value, name)
+    try:
+        return cls(**given)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 @dataclass
@@ -284,7 +344,6 @@ def train(config: TrainConfig, ds: Dataset, pipeline: str | None = None):
     """Mini-batch Adam over the total objective; returns the checkpoint from
     the best-validation-AUROC epoch, whose config names the encoder the
     pipeline ran, plus the full history."""
-    config.validate()
     ds.validate()
     if pipeline is None:
         pipeline = f"fbnetgen-{config.encoder.kind}"
@@ -354,21 +413,23 @@ def save_model(tm: TrainedModel, path) -> None:
 
 
 def load_model(path) -> TrainedModel:
-    """Rebuild a saved model; a checkpoint whose meta or arrays do not fit
-    raises CheckpointError naming the file and the key at fault."""
+    """Rebuild a saved model, its meta read like a config file; meta or arrays
+    that do not fit raise CheckpointError naming the file and the key at fault."""
     meta, arrays = nn.load_checkpoint(path)
-
-    def read(key, build):
-        try:
-            return build(meta[key])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise nn.CheckpointError(f"checkpoint {path}: bad meta.{key} ({exc!r})") from exc
-
-    encoder_cfg = read("encoder", lambda d: EncoderConfig(**d))
-    gcn_cfg = read("predictor", lambda d: GcnConfig(**{**d, "widths": tuple(d["widths"])}))
-    loss = read("loss", lambda d: LossWeights(**d))
-    v, t, classes = read("shape", lambda d: (int(d["v"]), int(d["t"]), list(d["classes"])))
-    pipeline = read("pipeline", str)
+    try:
+        encoder_cfg = _section(EncoderConfig, meta.get("encoder"), "meta.encoder")
+        predictor = _object(meta.get("predictor"), get_type_hints(GcnConfig), "meta.predictor")
+        n_classes = _convert(int, predictor.pop("n_classes", None), "meta.predictor.n_classes")
+        gcn_cfg = _section(GcnConfig, predictor, "meta.predictor", n_classes=n_classes)
+        loss = _section(LossWeights, meta.get("loss"), "meta.loss")
+        shape = _object(meta.get("shape"), ("v", "t", "classes"), "meta.shape")
+        v, t = (_convert(int, shape.get(k), f"meta.shape.{k}") for k in ("v", "t"))
+        classes = shape.get("classes")
+        _require(isinstance(classes, list) and all(isinstance(c, str) for c in classes),
+                 f"meta.shape.classes {classes!r} is not a JSON array of strings")
+        pipeline = _convert(str, meta.get("pipeline"), "meta.pipeline")
+    except ConfigError as exc:
+        raise nn.CheckpointError(f"checkpoint {path}: bad meta: {exc}") from exc
     try:
         model = build_model(pipeline, encoder_cfg, gcn_cfg, v=v, seed=0)
         model.load_state(arrays)
@@ -412,7 +473,6 @@ def run_seeds(cells, ds: Dataset, seeds, window_key: str = "encoder.window") -> 
     """
     ds.validate()
     for config, pipeline in cells:
-        config.validate()
         pipeline = pipeline or f"fbnetgen-{config.encoder.kind}"
         enc = pipeline_encoder(pipeline, config.encoder)
         if enc is not None and ds.t < enc.min_length():

@@ -258,6 +258,10 @@ class TestConfigValidation:
             (("loss", "alpha"), -1, "loss.alpha: loss weight must be"),
             (("train", "split"), {"train": 0.5, "val": 0.2, "test": 0.2},
              "train.split: split ratios must"),
+            (("train", "batch_size"), 1, "train.batch_size must be positive and at least 2"),
+            (("dataset", "synth"), {"v": 1, "t": 24, "n": 16, "modules": {"m1": 1},
+                                    "planted": "m1"}, "dataset.synth.v must be at least 2"),
+            (("dataset", "synth", "t"), 1, "dataset.synth.t must be at least 2"),
         ],
     )
     def test_malformed_value_exits_2(self, tmp_path, capsys, path, value, key):
@@ -479,7 +483,7 @@ class TestInterpretCommand:
         cfg = write_config(tmp_path, base_config(tmp_path))
         assert main(["interpret", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
 
-    def test_non_generating_checkpoint_fails_cleanly(self, tmp_path):
+    def test_non_generating_checkpoint_fails_cleanly(self, tmp_path, capsys):
         raw = base_config(tmp_path, pipeline="gnn-uniform")
         cfg = write_config(tmp_path, raw)
         run = tmp_path / "run"
@@ -488,4 +492,6 @@ class TestInterpretCommand:
             "interpret", "--config", cfg, "--out", str(tmp_path / "x"),
             "--checkpoint", str(run / "checkpoint.json"),
         ])
-        assert code == 1
+        assert code == 2
+        assert "does not generate graphs" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()

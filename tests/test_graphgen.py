@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from netgen import nncore as nn
 from netgen.graphgen import (
-    LossWeights,
     generate_graph,
     group_inter_loss_oracle,
     group_intra_loss_oracle,
@@ -200,11 +199,3 @@ class TestSparsityLoss:
             lambda: sparsity_loss(generate_graph(h)), [("h", h)], seed=0
         )
         assert err < 1e-4
-
-
-def test_loss_weights_validate():
-    LossWeights().validate()
-    with pytest.raises(ValueError):
-        LossWeights(alpha=-1.0).validate()
-    with pytest.raises(ValueError):
-        LossWeights(beta=float("nan")).validate()

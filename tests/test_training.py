@@ -1,9 +1,13 @@
+import functools
 import json
 import logging
+import tempfile
+from dataclasses import FrozenInstanceError
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from netgen.dataset import (
@@ -58,6 +62,27 @@ def tiny_dataset(seed=0, n=24, v=6, t=24):
     return generate_synthetic(spec, seed=seed)
 
 
+@functools.lru_cache(maxsize=None)
+def tiny_checkpoint_text() -> str:
+    """The checkpoint file of a one-epoch model trained on `tiny_dataset()`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ckpt.json"
+        save_model(train(tiny_config(epochs=1), tiny_dataset())[0], path)
+        return path.read_text()
+
+
+def json_leaves(value, prefix=()):
+    """The path of every value under a JSON object that is not an object
+    itself, and of every array entry."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from json_leaves(item, prefix + (key,))
+        return
+    yield prefix
+    if isinstance(value, list):
+        yield from (prefix + (i,) for i in range(len(value)))
+
+
 def tiny_config(**overrides):
     base = dict(
         encoder=EncoderConfig(kind="gru", window=8, dim=4),
@@ -71,6 +96,23 @@ def tiny_config(**overrides):
     )
     base.update(overrides)
     return TrainConfig(**base)
+
+
+@pytest.mark.parametrize(
+    "cls,bad",
+    [(EncoderConfig, {"window": 0}), (GcnConfig, {"pooling": "max"}),
+     (LossWeights, {"alpha": -1.0}), (LossWeights, {"beta": float("nan")}),
+     (SplitSpec, {"train": 0.5, "val": 0.1, "test": 0.1}), (SynthSpec, {"n": 2}),
+     (TrainConfig, {"lr": 0})],
+    ids=["EncoderConfig", "GcnConfig", "LossWeights", "LossWeights-nan", "SplitSpec",
+         "SynthSpec", "TrainConfig"],
+)
+def test_config_checks_itself_when_built(cls, bad):
+    with pytest.raises(ValueError):
+        cls(**bad)
+    config, key = cls(), next(iter(bad))
+    with pytest.raises(FrozenInstanceError):
+        setattr(config, key, getattr(config, key))
 
 
 class TestAuroc:
@@ -202,9 +244,8 @@ class TestTrain:
         import netgen.training as training_mod
 
         monkeypatch.setattr(training_mod, "build_model", None)  # no model gets built
-        cfg = tiny_config(split=SplitSpec(0.8, 0.0, 0.2, seed=0))
         with pytest.raises(ValueError, match="train.split.val"):
-            train(cfg, tiny_dataset())
+            train(tiny_config(split=SplitSpec(0.8, 0.0, 0.2, seed=0)), tiny_dataset())
 
     @pytest.mark.parametrize(
         "ratios,key",
@@ -329,9 +370,16 @@ class TestCheckpointRoundTrip:
             (lambda doc, a: doc.pop("arrays"), "'arrays'"),
             (lambda doc, a: doc["meta"].pop("encoder"), "meta.encoder"),
             (lambda doc, a: doc["meta"]["encoder"].update(extra=1), "meta.encoder"),
+            (lambda doc, a: doc["meta"]["shape"].update(v="6"), "meta.shape.v"),
+            (lambda doc, a: doc["meta"]["shape"].update(v=6.9), "meta.shape.v"),
+            (lambda doc, a: doc["meta"]["shape"].update(t=True), "meta.shape.t"),
+            (lambda doc, a: doc["meta"]["shape"].update(classes="ab"), "meta.shape.classes"),
+            (lambda doc, a: doc["meta"]["loss"].update(gamma=-1), "loss.gamma"),
+            (lambda doc, a: doc["meta"]["loss"].update(gamma="x"), "meta.loss.gamma"),
         ],
         ids=["truncated-data", "bad-base64", "shape-mismatch", "no-arrays", "no-meta-encoder",
-             "extra-meta-encoder-key"],
+             "extra-meta-encoder-key", "v-string", "v-float", "t-bool", "classes-string",
+             "gamma-negative", "gamma-string"],
     )
     def test_corrupt_checkpoint_raises_checkpoint_error(self, tmp_path, corrupt, key):
         tm, _ = train(tiny_config(epochs=1), tiny_dataset())
@@ -343,6 +391,33 @@ class TestCheckpointRoundTrip:
         with pytest.raises(CheckpointError) as exc:
             load_model(path)
         assert str(path) in str(exc.value) and key in str(exc.value)
+
+    # One meta leaf set to a small JSON value: small, since the model is built
+    # from the meta before its arrays are checked.
+    small_json = st.recursive(
+        st.none() | st.booleans() | st.integers(-2, 40) | st.floats() | st.text(max_size=4)
+        | st.sampled_from(["gru", "cnn", "sum", "gnn-uniform", "seq-gru"]),
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                    max_size=2),
+        max_leaves=4,
+    )
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_meta_fuzz_raises_only_checkpoint_error(self, tmp_path, data):
+        path = tmp_path / "ckpt.json"
+        doc = json.loads(tiny_checkpoint_text())
+        leaf = data.draw(st.sampled_from(sorted(json_leaves(doc["meta"]), key=str)))
+        target = doc["meta"]
+        for part in leaf[:-1]:
+            target = target[part]
+        target[leaf[-1]] = data.draw(self.small_json)
+        path.write_text(json.dumps(doc))
+        try:
+            load_model(path)
+        except CheckpointError as exc:
+            assert str(path) in str(exc)
 
     def test_meta_window_too_big_to_allocate_raises_checkpoint_error(self, tmp_path):
         # A GRU of window 1e8 asks for 2.4e17-byte weights, past any address space,
