@@ -198,8 +198,11 @@ class SynthSpec:
                              "partition")
         if self.n < 4:
             raise ValueError(f"dataset.synth: need at least 4 samples (2 per class), got {self.n}")
-        if self.effect < 0:
-            raise ValueError(f"dataset.synth: effect size must be >= 0, got {self.effect}")
+        if not (math.isfinite(self.effect) and self.effect >= 0):
+            raise ValueError(f"dataset.synth.effect: effect size must be finite and >= 0, "
+                             f"got {self.effect}")
+        if not (math.isfinite(self.noise) and self.noise > 0):
+            raise ValueError(f"dataset.synth.noise must be finite and positive, got {self.noise}")
         if sum(self.modules.values()) > self.v:
             raise ValueError("dataset.synth: module sizes exceed the number of ROIs")
         for name, size in self.modules.items():

@@ -13,7 +13,7 @@ import numpy as np
 from scipy import special
 
 from .dataset import ModulePartition, Dataset, format_value, write_matrix_csv, zscore_normalize
-from .nncore import Tensor
+from .nncore import Tensor, no_grad
 from .training import ConfigError, TrainedModel, _eval_batches
 
 __all__ = [
@@ -68,7 +68,9 @@ def collect_graphs(tm: TrainedModel, ds: Dataset):
         )
     xs = zscore_normalize(ds.x)
     tm.model.set_training(False)
-    out = [tm.model.graphs(Tensor(xs[batch])).data for batch in _eval_batches(ds.n)]
+    with no_grad():
+        out = [tm.model.graphs(Tensor(xs[batch], requires_grad=False)).data
+               for batch in _eval_batches(ds.n)]
     return np.concatenate(out, axis=0), ds.labels()
 
 

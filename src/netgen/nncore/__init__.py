@@ -3,6 +3,7 @@ from .tensor import (
     Tensor,
     as_tensor,
     default_dtype,
+    no_grad,
     concat,
     conv1d,
     gru_direction,
@@ -37,6 +38,7 @@ __all__ = [
     "load_checkpoint",
     "log_softmax",
     "max_last",
+    "no_grad",
     "relu",
     "save_checkpoint",
     "softmax",

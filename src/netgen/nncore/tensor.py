@@ -5,6 +5,14 @@ predictor and losses need, nothing more. The default dtype is float64, so
 gradient checks and the graph-validity guarantees run in double precision;
 the training loop switches to float32 through `default_dtype` and casts
 its parameters back up when done.
+
+A tensor records its parents and backward closure only if it needs a
+gradient (`requires_grad`). A `Param` does, and so does a tensor built
+directly with `Tensor(data)` unless it passes `requires_grad=False`, as the
+library's data leaves and `as_tensor` of a non-tensor do. An op result needs
+one only if some parent does and recording is on; inside `no_grad()` it is
+off. Validation, `evaluate` and `collect_graphs` run under `no_grad()`, so
+they build no tape and hold no backward caches.
 """
 from __future__ import annotations
 
@@ -17,6 +25,7 @@ __all__ = [
     "Param",
     "as_tensor",
     "default_dtype",
+    "no_grad",
     "add",
     "sub",
     "mul",
@@ -39,6 +48,7 @@ __all__ = [
 
 
 _DEFAULT_DTYPE = np.dtype(np.float64)
+_RECORDING = True
 
 
 @contextmanager
@@ -53,6 +63,23 @@ def default_dtype(dtype):
         _DEFAULT_DTYPE = previous
 
 
+@contextmanager
+def no_grad():
+    """Record no op inside: results keep no parents, closure or cache."""
+    global _RECORDING
+    previous, _RECORDING = _RECORDING, False
+    try:
+        yield
+    finally:
+        _RECORDING = previous
+
+
+def _records(*parents) -> bool:
+    """Whether an op over `parents` records: recording is on and some
+    parent requires a gradient."""
+    return _RECORDING and any(p.requires_grad for p in parents)
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum `grad` down to `shape`, inverting numpy broadcasting."""
     extra = grad.ndim - len(shape)
@@ -65,13 +92,20 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 class Tensor:
-    """One node of the computation graph: a value plus a backward closure."""
+    """One node of the computation graph: a value plus, if it requires a
+    gradient, its parents and backward closure. An op result requires one
+    exactly when it records (`_records`); a leaf as it is built."""
 
-    __slots__ = ("data", "grad", "_parents", "_bw")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_bw")
 
-    def __init__(self, data, parents=(), bw=None):
+    def __init__(self, data, parents=(), bw=None, requires_grad=True):
         self.data = np.asarray(data, dtype=_DEFAULT_DTYPE)
         self.grad = None
+        if parents:
+            requires_grad = _records(*parents)
+            if not requires_grad:
+                parents, bw = (), None
+        self.requires_grad = requires_grad
         self._parents = parents
         self._bw = bw
 
@@ -103,7 +137,8 @@ class Tensor:
         return order
 
     def backward(self, seed=None) -> None:
-        """Accumulate gradients of a scalar (or seeded) output into leaves."""
+        """Accumulate gradients of a scalar (or seeded) output into every
+        tensor on its tape that requires one."""
         if seed is None:
             if self.data.size != 1:
                 raise ValueError("backward() without a seed needs a scalar output")
@@ -120,7 +155,7 @@ class Tensor:
             if node._bw is None or node.grad is None:
                 continue
             for parent, g in zip(node._parents, node._bw(node.grad)):
-                if g is None:
+                if g is None or not parent.requires_grad:
                     continue
                 parent.grad = g if parent.grad is None else parent.grad + g
 
@@ -173,7 +208,8 @@ class Param(Tensor):
 
 
 def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+    """`x` itself if a tensor, else a constant leaf that needs no gradient."""
+    return x if isinstance(x, Tensor) else Tensor(x, requires_grad=False)
 
 
 def add(a, b) -> Tensor:
@@ -227,8 +263,8 @@ def matmul(a, b) -> Tensor:
     out = a.data @ b.data
 
     def bw(g):
-        ga = _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape)
-        gb = _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape)
+        ga = _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape) if a.requires_grad else None
+        gb = _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape) if b.requires_grad else None
         return ga, gb
 
     return Tensor(out, (a, b), bw)
@@ -407,6 +443,8 @@ def conv1d(x, w, b, stride: int = 1) -> Tensor:
         gt = np.ascontiguousarray(g.transpose(0, 2, 1))  # (N, L_out, C_out)
         gb = gt.sum(axis=(0, 1))
         gw = (gt.reshape(-1, c_out).T @ cols.reshape(-1, c_in * k)).reshape(w.data.shape)
+        if not x.requires_grad:
+            return None, gw, gb
         gcols = (gt @ w_flat).reshape(n, l_out, c_in, k).transpose(0, 2, 1, 3)
         gx = np.zeros_like(x.data)
         for kk in range(k):
@@ -423,7 +461,8 @@ def gru_direction(x_seq, w_ih, w_hh, b_ih, b_hh, reverse: bool = False) -> Tenso
     sequence positions; with reverse=True the recurrence consumes the steps
     from the end, so the final state sits at position 0. The input-to-hidden
     projection is batched over steps and the backward pass is a hand-rolled
-    BPTT, which keeps the tape small.
+    BPTT, which keeps the tape small. The per-step cache it reads is built
+    only when the result records.
     """
     x = as_tensor(x_seq)
     w_ih, w_hh, b_ih, b_hh = map(as_tensor, (w_ih, w_hh, b_ih, b_hh))
@@ -433,6 +472,7 @@ def gru_direction(x_seq, w_ih, w_hh, b_ih, b_hh, reverse: bool = False) -> Tenso
     order = range(z - 1, -1, -1) if reverse else range(z)
     h = np.zeros((bsz, hid), dtype=gx_all.dtype)
     out = np.empty((bsz, z, hid), dtype=gx_all.dtype)
+    record = _records(x, w_ih, w_hh, b_ih, b_hh)
     cache = {}
     for s in order:
         gh = h @ w_hh.data + b_hh.data
@@ -441,7 +481,8 @@ def gru_direction(x_seq, w_ih, w_hh, b_ih, b_hh, reverse: bool = False) -> Tenso
         gh_n = gh[:, 2 * hid :]
         n = np.tanh(gx_all[:, s, 2 * hid :] + r * gh_n)
         h_new = (1.0 - zg) * n + zg * h
-        cache[s] = (h, r, zg, n, gh_n)
+        if record:
+            cache[s] = (h, r, zg, n, gh_n)
         h = h_new
         out[:, s] = h_new
 
@@ -464,7 +505,7 @@ def gru_direction(x_seq, w_ih, w_hh, b_ih, b_hh, reverse: bool = False) -> Tenso
             db_hh += dgh.sum(axis=0)
             carry = dgh @ w_hh.data.T + gs * zg
         flat = dgx_all.reshape(bsz * z, 3 * hid)
-        dx = (flat @ w_ih.data.T).reshape(bsz, z, n_in)
+        dx = (flat @ w_ih.data.T).reshape(bsz, z, n_in) if x.requires_grad else None
         dw_ih = x.data.reshape(bsz * z, n_in).T @ flat
         return dx, dw_ih, dw_hh, flat.sum(axis=0), db_hh
 

@@ -22,6 +22,7 @@ __all__ = [
     "Model",
     "PIPELINES",
     "build_model",
+    "check_sizes",
     "pipeline_encoder",
 ]
 
@@ -128,9 +129,9 @@ class Model(_MlpHead):
             adjacency = graphs = self.graphs(x)
         elif self.graph == "uniform":
             b, v, _ = feats.shape
-            adjacency = Tensor(np.broadcast_to(np.ones((v, v)), (b, v, v)))
+            adjacency = Tensor(np.broadcast_to(np.ones((v, v)), (b, v, v)), requires_grad=False)
         else:
-            adjacency = Tensor(feats.data)
+            adjacency = Tensor(feats.data, requires_grad=False)
         return self.gcn(adjacency, feats), graphs
 
     def graphs(self, x) -> Tensor:
@@ -149,3 +150,33 @@ def pipeline_encoder(pipeline: str, encoder_cfg: EncoderConfig):
         raise ValueError(f"unknown pipeline {pipeline!r}; choose one of {PIPELINES}")
     kind = _PIPELINES[pipeline][0]
     return None if kind is None else replace(encoder_cfg, kind=kind)
+
+
+def check_sizes(pipeline: str, encoder_cfg: EncoderConfig, gcn_cfg: GcnConfig, v: int,
+                arrays: dict) -> None:
+    """Raise CheckpointError naming the checkpoint meta key whose size
+    disagrees with the saved array it shapes, so that `build_model` never
+    allocates a model larger than its checkpoint."""
+    encoder = pipeline_encoder(pipeline, encoder_cfg)
+    graph = _PIPELINES[pipeline][1]
+    head = "param." if graph is None else "param.gcn."
+    sizes = [("meta.predictor.mlp_hidden", gcn_cfg.mlp_hidden, head + "mlp1.w", 1)]
+    if encoder is not None:
+        gru = encoder.kind == "gru"
+        sizes += [
+            ("meta.encoder.window", encoder.window,
+             "param.encoder.gru0.fwd.w_hh" if gru else "param.encoder.conv1.w", 0 if gru else 2),
+            ("meta.encoder.dim", encoder.dim,
+             "param.encoder.out.w" if gru else "param.encoder.fc2.w", 1),
+        ]
+    if graph is None:
+        sizes.append(("meta.shape.v", v * encoder.dim, "param.mlp1.w", 0))
+    else:
+        sizes.append(("meta.shape.v", v, "param.gcn.gcn0.w", 0))
+        sizes += [("meta.predictor.widths", width, f"param.gcn.gcn{i}.w", 1)
+                  for i, width in enumerate(gcn_cfg.widths)]
+    for key, size, name, axis in sizes:
+        shape = arrays[name].shape if name in arrays else None
+        if shape is None or len(shape) <= axis or shape[axis] != size:
+            raise nn.CheckpointError(f"{key} gives size {size} where array '{name}' has "
+                                     f"shape {shape}")

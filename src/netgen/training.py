@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+from contextlib import nullcontext
 from dataclasses import dataclass, field, asdict, is_dataclass, replace
 from typing import get_type_hints
 
@@ -19,7 +20,7 @@ from .dataset import Dataset, SplitSpec, pearson_features, split, zscore_normali
 from .encoders import EncoderConfig
 from .graphgen import LossWeights, group_losses, sparsity_loss
 from .nncore import Tensor
-from .predictor import GcnConfig, PIPELINES, build_model, pipeline_encoder
+from .predictor import GcnConfig, PIPELINES, build_model, check_sizes, pipeline_encoder
 
 __all__ = [
     "ConfigError",
@@ -260,22 +261,24 @@ def _run_batches(model, arrays, batches, weights: LossWeights, step=None) -> Met
     components averaged per sample.
 
     With `step`, this is a training epoch: `step(batch_index, loss)` runs
-    after each forward. Without it, an eval-mode pass.
+    after each forward. Without it, an eval-mode pass that records no tape.
     """
     xs, feats, labels = arrays
     model.set_training(step is not None)
     logits_all, labels_all = [], []
     sums = {"ce": 0.0, "intra": 0.0, "inter": 0.0, "sparsity": 0.0}
-    for b_idx, batch in enumerate(batches):
-        y = labels[batch]
-        logits, graphs = model.forward(Tensor(xs[batch]), Tensor(feats[batch]))
-        loss, comps = total_loss(logits, y, graphs, weights)
-        if step is not None:
-            step(b_idx, loss)
-        for k in sums:
-            sums[k] += comps[k] * len(y)
-        logits_all.append(logits.data)
-        labels_all.append(y)
+    with nullcontext() if step is not None else nn.no_grad():
+        for b_idx, batch in enumerate(batches):
+            y = labels[batch]
+            logits, graphs = model.forward(Tensor(xs[batch], requires_grad=False),
+                                           Tensor(feats[batch], requires_grad=False))
+            loss, comps = total_loss(logits, y, graphs, weights)
+            if step is not None:
+                step(b_idx, loss)
+            for k in sums:
+                sums[k] += comps[k] * len(y)
+            logits_all.append(logits.data)
+            labels_all.append(y)
     logits_all = np.concatenate(logits_all)
     labels_all = np.concatenate(labels_all)
     n = len(labels_all)
@@ -427,13 +430,18 @@ def load_model(path) -> TrainedModel:
         classes = shape.get("classes")
         _require(isinstance(classes, list) and all(isinstance(c, str) for c in classes),
                  f"meta.shape.classes {classes!r} is not a JSON array of strings")
+        _require(len(classes) == gcn_cfg.n_classes,
+                 f"meta.shape.classes names {len(classes)} classes for a model of "
+                 f"{gcn_cfg.n_classes} (meta.predictor.n_classes)")
+        _require(v >= 2 and t >= 2, f"meta.shape: v {v} and t {t} must both be at least 2")
         pipeline = _convert(str, meta.get("pipeline"), "meta.pipeline")
     except ConfigError as exc:
         raise nn.CheckpointError(f"checkpoint {path}: bad meta: {exc}") from exc
     try:
+        check_sizes(pipeline, encoder_cfg, gcn_cfg, v, arrays)
         model = build_model(pipeline, encoder_cfg, gcn_cfg, v=v, seed=0)
         model.load_state(arrays)
-    except (TypeError, ValueError, MemoryError, nn.CheckpointError) as exc:
+    except (TypeError, ValueError, nn.CheckpointError) as exc:
         raise nn.CheckpointError(f"checkpoint {path} does not fit its model: {exc}") from exc
     model.set_training(False)
     config = TrainConfig(encoder=encoder_cfg, predictor=gcn_cfg, loss=loss)

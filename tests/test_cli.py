@@ -262,6 +262,13 @@ class TestConfigValidation:
             (("dataset", "synth"), {"v": 1, "t": 24, "n": 16, "modules": {"m1": 1},
                                     "planted": "m1"}, "dataset.synth.v must be at least 2"),
             (("dataset", "synth", "t"), 1, "dataset.synth.t must be at least 2"),
+            (("dataset", "synth", "effect"), float("nan"), "dataset.synth.effect"),
+            (("dataset", "synth", "effect"), float("inf"), "dataset.synth.effect"),
+            (("dataset", "synth", "effect"), -1.0, "dataset.synth.effect"),
+            (("dataset", "synth", "noise"), float("inf"), "dataset.synth.noise"),
+            (("dataset", "synth", "noise"), float("nan"), "dataset.synth.noise"),
+            (("dataset", "synth", "noise"), -1.0, "dataset.synth.noise"),
+            (("dataset", "synth", "noise"), 0, "dataset.synth.noise"),
         ],
     )
     def test_malformed_value_exits_2(self, tmp_path, capsys, path, value, key):

@@ -5,7 +5,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from netgen import nncore as nn
+from netgen.dataset import SynthSpec, generate_synthetic, pearson_features, zscore_normalize
+from netgen.encoders import EncoderConfig
+from netgen.graphgen import LossWeights
 from netgen.nncore import Param, Tensor
+from netgen.predictor import PIPELINES, GcnConfig, build_model
+from netgen.training import total_loss
 
 
 def square_loss(t):
@@ -295,3 +300,73 @@ class TestCheckpoint:
             nn.check_shapes(loaded, {"w": np.zeros((3, 3))})
         with pytest.raises(nn.CheckpointError, match="missing"):
             nn.check_shapes(loaded, {"w": np.zeros((2, 3)), "v": np.zeros(2)})
+
+
+def planted_batch(n=8, v=6, t=40, seed=0):
+    """Model inputs of `n` planted samples, as `training` feeds them."""
+    ds = generate_synthetic(SynthSpec(v=v, t=t, n=n, modules={"m1": 3, "m2": 3}, planted="m1"),
+                            seed=seed)
+    return zscore_normalize(ds.x), pearson_features(ds.x), ds.y
+
+
+def small_model(pipeline):
+    return build_model(pipeline, EncoderConfig(window=8, dim=4),
+                       GcnConfig(widths=(8, 4), mlp_hidden=8), v=6, seed=0)
+
+
+class TestNoGrad:
+    """Ops record a tape only where a gradient is needed."""
+
+    @pytest.mark.parametrize("pipeline", ["fbnetgen-gru", "fbnetgen-cnn"])
+    def test_eval_forward_under_no_grad_keeps_no_tape(self, pipeline):
+        xs, feats, _ = planted_batch()
+        model = small_model(pipeline)
+        model.set_training(False)
+        recorded, _ = model.forward(Tensor(xs), Tensor(feats))
+        with nn.no_grad():
+            logits, graphs = model.forward(Tensor(xs), Tensor(feats))
+        assert logits._parents == () and logits._bw is None and not logits.requires_grad
+        assert graphs._parents == () and graphs._bw is None
+        assert recorded._parents and np.array_equal(logits.data, recorded.data)
+
+    def test_recording_resumes_after_no_grad(self):
+        x = Param(np.ones(3))
+        with nn.no_grad():
+            assert not (x * 2.0).requires_grad
+        assert (x * 2.0)._parents
+
+    def test_backward_gives_no_gradient_to_a_constant_parent(self):
+        p, c = Param(np.arange(3.0)), Tensor(np.full(3, 2.0), requires_grad=False)
+        (p * c).sum().backward()
+        assert c.grad is None and np.array_equal(p.grad, c.data)
+
+    def test_param_built_inside_no_grad_requires_gradient(self):
+        with nn.no_grad():
+            p = Param(np.ones(3))
+            leaf = Tensor(np.ones(3))
+        assert p.requires_grad and leaf.requires_grad
+        assert not nn.as_tensor(np.ones(3)).requires_grad
+
+    def test_data_leaf_gets_no_gradient_from_a_training_step(self):
+        xs, feats, y = planted_batch()
+        model = small_model("fbnetgen-gru")
+        x, f = Tensor(xs, requires_grad=False), Tensor(feats, requires_grad=False)
+        logits, graphs = model.forward(x, f)
+        total_loss(logits, y, graphs, LossWeights())[0].backward()
+        assert x.grad is None and f.grad is None
+        assert all(p.grad is not None for _, p in model.named_params())
+
+    @pytest.mark.parametrize("pipeline", PIPELINES)
+    def test_step_gradients_match_recording_leaves_bit_for_bit(self, pipeline):
+        xs, feats, y = planted_batch()
+        grads = []
+        for requires_grad in (True, False):
+            with nn.default_dtype(np.float32):
+                model = small_model(pipeline)
+                leaves = (Tensor(a, requires_grad=requires_grad) for a in (xs, feats))
+                logits, graphs = model.forward(*leaves)
+                total_loss(logits, y, graphs, LossWeights())[0].backward()
+            grads.append({name: p.grad for name, p in model.named_params()})
+        recorded, constant = grads
+        for name, g in recorded.items():
+            assert g.dtype == constant[name].dtype and np.array_equal(g, constant[name]), name

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from netgen import training
 from netgen.dataset import (
     Dataset,
     SplitSpec,
@@ -20,11 +21,12 @@ from netgen.dataset import (
 from netgen.encoders import EncoderConfig
 from netgen.graphgen import LossWeights, generate_graph
 from netgen.nncore import CheckpointError, Tensor
-from netgen.predictor import GcnConfig
+from netgen.predictor import GcnConfig, build_model
 from netgen.training import (
     ABLATION_VARIANTS,
     ConfigError,
     TrainConfig,
+    TrainedModel,
     _check_ce_curve,
     ablate,
     accuracy,
@@ -376,10 +378,15 @@ class TestCheckpointRoundTrip:
             (lambda doc, a: doc["meta"]["shape"].update(classes="ab"), "meta.shape.classes"),
             (lambda doc, a: doc["meta"]["loss"].update(gamma=-1), "loss.gamma"),
             (lambda doc, a: doc["meta"]["loss"].update(gamma="x"), "meta.loss.gamma"),
+            (lambda doc, a: doc["meta"]["shape"].update(classes=["a", "b", "c"]), "meta.shape"),
+            (lambda doc, a: doc["meta"]["shape"].update(classes=["a"]), "meta.shape"),
+            (lambda doc, a: doc["meta"]["shape"].update(t=-5), "meta.shape"),
+            (lambda doc, a: doc["meta"]["shape"].update(v=1), "meta.shape"),
         ],
         ids=["truncated-data", "bad-base64", "shape-mismatch", "no-arrays", "no-meta-encoder",
              "extra-meta-encoder-key", "v-string", "v-float", "t-bool", "classes-string",
-             "gamma-negative", "gamma-string"],
+             "gamma-negative", "gamma-string", "three-classes", "one-class", "t-negative",
+             "v-one"],
     )
     def test_corrupt_checkpoint_raises_checkpoint_error(self, tmp_path, corrupt, key):
         tm, _ = train(tiny_config(epochs=1), tiny_dataset())
@@ -392,11 +399,11 @@ class TestCheckpointRoundTrip:
             load_model(path)
         assert str(path) in str(exc.value) and key in str(exc.value)
 
-    # One meta leaf set to a small JSON value: small, since the model is built
-    # from the meta before its arrays are checked.
+    # One meta leaf set to a small JSON value, or to 10**8: each meta size is
+    # compared with its array before a model is built, so no size allocates.
     small_json = st.recursive(
         st.none() | st.booleans() | st.integers(-2, 40) | st.floats() | st.text(max_size=4)
-        | st.sampled_from(["gru", "cnn", "sum", "gnn-uniform", "seq-gru"]),
+        | st.sampled_from(["gru", "cnn", "sum", "gnn-uniform", "seq-gru", 10**8]),
         lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
                                                                     max_size=2),
         max_leaves=4,
@@ -420,8 +427,8 @@ class TestCheckpointRoundTrip:
             assert str(path) in str(exc)
 
     def test_meta_window_too_big_to_allocate_raises_checkpoint_error(self, tmp_path):
-        # A GRU of window 1e8 asks for 2.4e17-byte weights, past any address space,
-        # so numpy raises MemoryError at once instead of allocating anything.
+        # A GRU of window 1e8 would ask for 2.4e17-byte weights; the window is
+        # compared with the saved weights first, so nothing is allocated.
         tm, _ = train(tiny_config(epochs=1), tiny_dataset())
         path = tmp_path / "ckpt.json"
         save_model(tm, path)
@@ -430,7 +437,44 @@ class TestCheckpointRoundTrip:
         path.write_text(json.dumps(doc))
         with pytest.raises(CheckpointError, match="does not fit its model") as exc:
             load_model(path)
-        assert str(path) in str(exc.value) and isinstance(exc.value.__cause__, MemoryError)
+        assert str(path) in str(exc.value) and "meta.encoder.window" in str(exc.value)
+        assert not isinstance(exc.value.__cause__, MemoryError)
+
+    @pytest.mark.parametrize(
+        "pipeline,section,key,value",
+        [
+            ("fbnetgen-gru", "encoder", "window", 4096),
+            ("fbnetgen-cnn", "encoder", "window", 4096),
+            ("fbnetgen-gru", "encoder", "dim", 4096),
+            ("seq-cnn", "encoder", "dim", 4096),
+            ("gnn-pearson", "shape", "v", 4096),
+            ("seq-gru", "shape", "v", 4096),
+            ("gnn-uniform", "predictor", "widths", [8, 4096]),
+            ("fbnetgen-gru", "predictor", "widths", [8, 4, 4096]),
+            ("fbnetgen-cnn", "predictor", "mlp_hidden", 4096),
+        ],
+    )
+    def test_meta_size_is_checked_against_its_array_before_build(
+            self, tmp_path, monkeypatch, pipeline, section, key, value):
+        cfg = tiny_config(encoder=EncoderConfig(kind="cnn" if "cnn" in pipeline else "gru",
+                                                window=8, dim=4),
+                          predictor=GcnConfig(widths=(8, 4), mlp_hidden=8))
+        model = build_model(pipeline, cfg.encoder, cfg.predictor, v=6, seed=0)
+        path = tmp_path / "ckpt.json"
+        save_model(TrainedModel(model, cfg, pipeline, v=6, t=40, class_names=["0", "1"]), path)
+        load_model(path)
+        doc = json.loads(path.read_text())
+        doc["meta"][section][key] = value
+        path.write_text(json.dumps(doc))
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("a model was built from meta its arrays refute")
+
+        monkeypatch.setattr(training, "build_model", no_build)
+        with pytest.raises(CheckpointError) as exc:
+            load_model(path)
+        assert str(path) in str(exc.value) and f"meta.{section}.{key}" in str(exc.value)
+        assert not isinstance(exc.value.__cause__, MemoryError)
 
 
 class TestHarnesses:
