@@ -55,16 +55,26 @@ __all__ = ["ConfigError", "ExperimentConfig", "main", "entrypoint"]
 
 
 # The `sweep` and `interpret` sections of an ExperimentConfig.
-@dataclass
+@dataclass(frozen=True)
 class _SweepGrid:
-    windows: list = field(default_factory=list)
-    dims: list = field(default_factory=list)
+    windows: tuple = ()
+    dims: tuple = ()
+
+    def __post_init__(self) -> None:
+        _int_list(self.windows, "sweep.windows", 1)
+        _int_list(self.dims, "sweep.dims", 1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Interpret:
     alpha: float = 0.05
     split: str = "all"
+
+    def __post_init__(self) -> None:
+        _require(0 < self.alpha <= 1,  # false for NaN too
+                 f"interpret.alpha {self.alpha!r} is not a significance level in (0, 1]")
+        _require(self.split in ("all", "train", "val", "test"),
+                 "interpret.split must be one of all/train/val/test")
 
 
 @dataclass
@@ -85,8 +95,8 @@ _TOP_LEVEL = ("dataset", "encoder", "predictor", "loss", "train", "pipeline", "s
               "out_dir", "sweep", "interpret")
 
 
-def _int_list(values, key: str, least: int) -> list:
-    """`values`, a list of ints, if every entry is >= `least`."""
+def _int_list(values, key: str, least: int):
+    """`values`, a sequence of ints, if every entry is >= `least`."""
     for x in values:
         _require(x >= least, f"{key} {x!r} is not an integer >= {least}")
     return values
@@ -123,14 +133,6 @@ def _parse_config(raw: dict, path: str) -> ExperimentConfig:
     )
     grid = _section(_SweepGrid, raw.get("sweep", {}), "sweep")
     interpret = _section(_Interpret, raw.get("interpret", {}), "interpret")
-    _int_list(grid.windows, "sweep.windows", 1)
-    _int_list(grid.dims, "sweep.dims", 1)
-    _require(0 < interpret.alpha <= 1,  # false for NaN too
-             f"interpret.alpha {interpret.alpha!r} is not a significance level in (0, 1]")
-    _require(
-        interpret.split in ("all", "train", "val", "test"),
-        "interpret.split must be one of all/train/val/test",
-    )
 
     pipeline = raw.get("pipeline")
     if pipeline is not None:
@@ -179,9 +181,13 @@ class _Run:
     a line and keeps it, timestamped, for log.txt, the only artifact allowed
     to vary; a command adds its own fields to run.json through `doc`.
     `close` writes log.txt and then run.json, which lists exactly the files
-    recorded. A run that records no file (`synth`) writes neither."""
+    recorded. A run that records no file (`synth`) writes neither. An `out`
+    that is, or lies under, a file is refused when the run is made."""
 
     def __init__(self, out: Path, command: str, config: dict):
+        for path in (out, *out.parents):
+            _require(not path.exists() or path.is_dir(),
+                     f"output directory '{out}' cannot be made: '{path}' is not a directory")
         self.out = out
         self.doc = {"command": command, "config": config, "artifacts": []}
         self.lines = []
@@ -285,14 +291,6 @@ def cmd_interpret(cfg: ExperimentConfig, args, run: _Run) -> None:
     _require(Path(args.checkpoint).exists(), f"checkpoint '{args.checkpoint}' does not exist")
     ds = _resolve_dataset(cfg)
     tm = load_model(args.checkpoint)
-    _require(
-        tm.v == ds.v,
-        f"checkpoint was trained on v={tm.v} ROIs but the dataset has v={ds.v}",
-    )
-    _require(
-        tm.t == ds.t,
-        f"checkpoint was trained on series of length t={tm.t} but the dataset has t={ds.t}",
-    )
     name = cfg.interpret.split
     if name != "all":
         spec = cfg.train_cfg.seeded(cfg.seeds[0]).split

@@ -68,7 +68,7 @@ def group_losses(graphs, labels) -> tuple:
         raise ValueError(f"expected a non-empty (n, v, v) batch, got shape {graphs.shape}")
     labels = np.asarray(labels, dtype=np.int64)
     means = []
-    intra = Tensor(0.0, requires_grad=False)
+    intra = nn.as_tensor(0.0)
     for c in sorted(set(int(c) for c in labels)):
         members = graphs[np.flatnonzero(labels == c)]
         mu = members.mean(axis=0)
@@ -77,8 +77,8 @@ def group_losses(graphs, labels) -> tuple:
         means.append(mu)
     if len(means) < 2:
         log.info("group inter loss skipped: batch contains a single class")
-        return intra, Tensor(0.0, requires_grad=False)
-    inter = Tensor(0.0, requires_grad=False)
+        return intra, nn.as_tensor(0.0)
+    inter = nn.as_tensor(0.0)
     for a, b in itertools.permutations(means, 2):
         diff = a - b
         inter = inter + (diff * diff).sum()

@@ -13,7 +13,7 @@ import numpy as np
 from scipy import special
 
 from .dataset import ModulePartition, Dataset, format_value, write_matrix_csv, zscore_normalize
-from .nncore import Tensor, no_grad
+from .nncore import no_grad
 from .training import ConfigError, TrainedModel, _eval_batches
 
 __all__ = [
@@ -60,17 +60,19 @@ class ModuleScore:
 
 
 def collect_graphs(tm: TrainedModel, ds: Dataset):
-    """Generated graph per sample, eval mode, encoder + generator only."""
+    """Generated graph per sample, eval mode, encoder + generator only;
+    ConfigError for a model that generates none or a dataset unlike the one
+    it was trained on."""
     if tm.model.graph != "generated":
         raise ConfigError(
             f"pipeline '{tm.pipeline}' does not generate graphs; "
             "interpretation needs a learnable-graph checkpoint"
         )
+    tm.check_fit(ds)
     xs = zscore_normalize(ds.x)
     tm.model.set_training(False)
     with no_grad():
-        out = [tm.model.graphs(Tensor(xs[batch], requires_grad=False)).data
-               for batch in _eval_batches(ds.n)]
+        out = [tm.model.graphs(xs[batch]).data for batch in _eval_batches(ds.n)]
     return np.concatenate(out, axis=0), ds.labels()
 
 

@@ -38,9 +38,12 @@ def _unpack(path, name: str, entry: dict) -> np.ndarray:
     try:
         if entry["dtype"] != "<f8":
             raise ValueError(f"unsupported array dtype {entry['dtype']!r}")
+        shape = entry["shape"]
+        if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
+            raise ValueError(f"shape {shape!r} is not a JSON array of non-negative integers")
         raw = base64.b64decode(entry["data"])
         arr = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-        return arr.reshape(entry["shape"])
+        return arr.reshape(shape)
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"checkpoint {path}: array '{name}' is corrupt ({exc!r})") from exc
 

@@ -136,9 +136,8 @@ class BatchNorm1d(Module):
             self.running_mean = (1 - m) * self.running_mean + m * mean.data
             self.running_var = (1 - m) * self.running_var + m * var.data * batch / (batch - 1)
             return out
-        mean = Tensor(self.running_mean, requires_grad=False)
-        inv = Tensor(1.0 / np.sqrt(self.running_var + self.EPS), requires_grad=False)
-        return (x - mean) * inv * self.gamma + self.beta
+        inv = 1.0 / np.sqrt(self.running_var + self.EPS)
+        return (x - self.running_mean) * inv * self.gamma + self.beta
 
 
 class GruCell(Module):

@@ -8,11 +8,11 @@ its parameters back up when done.
 
 A tensor records its parents and backward closure only if it needs a
 gradient (`requires_grad`). A `Param` does, and so does a tensor built
-directly with `Tensor(data)` unless it passes `requires_grad=False`, as the
-library's data leaves and `as_tensor` of a non-tensor do. An op result needs
-one only if some parent does and recording is on; inside `no_grad()` it is
-off. Validation, `evaluate` and `collect_graphs` run under `no_grad()`, so
-they build no tape and hold no backward caches.
+directly with `Tensor(data)` unless it passes `requires_grad=False`. An
+array or number operand is a constant (`as_tensor`), so the library hands
+models and ops its data as plain arrays. An op result needs one only if some
+parent does and recording is on; inside `no_grad()`, where validation,
+`evaluate` and `collect_graphs` run, it is off and no tape is built.
 """
 from __future__ import annotations
 

@@ -129,9 +129,9 @@ class Model(_MlpHead):
             adjacency = graphs = self.graphs(x)
         elif self.graph == "uniform":
             b, v, _ = feats.shape
-            adjacency = Tensor(np.broadcast_to(np.ones((v, v)), (b, v, v)), requires_grad=False)
+            adjacency = np.broadcast_to(np.ones((v, v)), (b, v, v))
         else:
-            adjacency = Tensor(feats.data, requires_grad=False)
+            adjacency = feats.data
         return self.gcn(adjacency, feats), graphs
 
     def graphs(self, x) -> Tensor:

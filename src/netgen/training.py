@@ -33,7 +33,7 @@ __all__ = [
     "cross_entropy",
     "total_loss",
     "train",
-    "train_splits",
+    "check_run",
     "evaluate",
     "run_seeds",
     "ablate",
@@ -180,6 +180,14 @@ class TrainedModel:
     t: int
     class_names: list
 
+    def check_fit(self, ds) -> None:
+        """ConfigError unless `ds` has the ROI count and series length the
+        model was trained on."""
+        _require(self.v == ds.v,
+                 f"checkpoint was trained on v={self.v} ROIs but the dataset has v={ds.v}")
+        _require(self.t == ds.t, f"checkpoint was trained on series of length t={self.t} but "
+                                 f"the dataset has t={ds.t}")
+
 
 def auroc(scores, labels) -> float:
     """Rank-based AUROC with average ranks for ties.
@@ -270,8 +278,7 @@ def _run_batches(model, arrays, batches, weights: LossWeights, step=None) -> Met
     with nullcontext() if step is not None else nn.no_grad():
         for b_idx, batch in enumerate(batches):
             y = labels[batch]
-            logits, graphs = model.forward(Tensor(xs[batch], requires_grad=False),
-                                           Tensor(feats[batch], requires_grad=False))
+            logits, graphs = model.forward(xs[batch], feats[batch])
             loss, comps = total_loss(logits, y, graphs, weights)
             if step is not None:
                 step(b_idx, loss)
@@ -293,14 +300,26 @@ def evaluate(tm: TrainedModel, ds: Dataset) -> Metrics:
     """AUROC, accuracy and mean loss components of a trained model on a split."""
     if ds.n == 0:
         raise ValueError("cannot evaluate on an empty split")
+    tm.check_fit(ds)
     arrays = zscore_normalize(ds.x), pearson_features(ds.x), ds.y
     return _run_batches(tm.model, arrays, _eval_batches(ds.n), tm.config.loss)
 
 
-def train_splits(config: TrainConfig, ds: Dataset):
-    """`ds` split by `config.split` into (train, val, test), or ConfigError
-    naming the ratio at fault: the training split must hold every class, and
-    the validation split both classes, since it selects the epoch by AUROC."""
+def check_run(config: TrainConfig, ds: Dataset, pipeline: str | None = None,
+              window_key: str = "encoder.window"):
+    """(pipeline, train, val, test) of a run `train` can make: `ds` validated,
+    pipeline None resolved to `train`'s default, `ds` split by `config.split`.
+    Else ConfigError naming `window_key` for an encoder window too long for
+    the series, or the ratio of a training split missing a class or of a
+    validation split missing either (it selects the epoch by AUROC)."""
+    ds.validate()
+    pipeline = pipeline or f"fbnetgen-{config.encoder.kind}"
+    enc = pipeline_encoder(pipeline, config.encoder)
+    if enc is not None and ds.t < enc.min_length():
+        raise ConfigError(
+            f"{window_key} {config.encoder.window} is too long for the series: the "
+            f"{pipeline} pipeline needs t >= {enc.min_length()}, the dataset has t={ds.t}"
+        )
     spec = config.split
     try:
         parts = split(ds, spec)
@@ -312,7 +331,7 @@ def train_splits(config: TrainConfig, ds: Dataset):
             f"train.split.val {spec.val} (split seed {spec.seed}) gives a validation split of "
             f"{parts[1].n} samples with classes {val_classes}; it needs both classes"
         )
-    return parts
+    return (pipeline, *parts)
 
 
 def _batches(n: int, batch_size: int, rng: np.random.Generator):
@@ -344,15 +363,11 @@ def _check_ce_curve(ce_curve, window: int = 10) -> None:
 
 
 def train(config: TrainConfig, ds: Dataset, pipeline: str | None = None):
-    """Mini-batch Adam over the total objective; returns the checkpoint from
-    the best-validation-AUROC epoch, whose config names the encoder the
-    pipeline ran, plus the full history."""
-    ds.validate()
-    if pipeline is None:
-        pipeline = f"fbnetgen-{config.encoder.kind}"
+    """Mini-batch Adam over the total objective, on a run `check_run`
+    passes; returns the checkpoint from the best-validation-AUROC epoch,
+    whose config names the encoder the pipeline ran, plus the full history."""
+    pipeline, train_ds, val_ds, _ = check_run(config, ds, pipeline)
     gcn_cfg = replace(config.predictor, n_classes=len(ds.class_names))
-
-    train_ds, val_ds, _ = train_splits(config, ds)
     train_arrays, val_arrays = [(zscore_normalize(part.x), pearson_features(part.x), part.y)
                                 for part in (train_ds, val_ds)]
 
@@ -474,22 +489,13 @@ def run_seeds(cells, ds: Dataset, seeds, window_key: str = "encoder.window") -> 
     """Train each (config, pipeline) cell once per seed, with the config
     `seeded` by it; per cell, (model, history, test Metrics) in seed order.
 
-    Every run is checked before the first trains, and ConfigError names the
-    key at fault: `window_key` for a window too long for the series, or
-    `train.split.*` for a split `train_splits` refuses or a test split
-    AUROC cannot score. Pipeline None is `train`'s default.
+    Every run is checked before the first trains: `check_run` (with
+    `window_key`) and a test split AUROC can score, or ConfigError naming
+    `train.split.test`.
     """
-    ds.validate()
     for config, pipeline in cells:
-        pipeline = pipeline or f"fbnetgen-{config.encoder.kind}"
-        enc = pipeline_encoder(pipeline, config.encoder)
-        if enc is not None and ds.t < enc.min_length():
-            raise ConfigError(
-                f"{window_key} {config.encoder.window} is too long for the series: the "
-                f"{pipeline} pipeline needs t >= {enc.min_length()}, the dataset has t={ds.t}"
-            )
         for seed in seeds:
-            _, _, test = train_splits(config.seeded(seed), ds)
+            *_, test = check_run(config.seeded(seed), ds, pipeline, window_key)
             classes = sorted(set(test.y.tolist()))
             if len(classes) < 2:
                 raise ConfigError(
@@ -500,7 +506,7 @@ def run_seeds(cells, ds: Dataset, seeds, window_key: str = "encoder.window") -> 
     # Each run cuts its test split again, so no copy of one is held per run.
     def run(config, pipeline, seed):
         tm, history = train(config.seeded(seed), ds, pipeline)
-        return tm, history, evaluate(tm, train_splits(config.seeded(seed), ds)[2])
+        return tm, history, evaluate(tm, split(ds, config.seeded(seed).split)[2])
 
     return [[run(config, pipeline, seed) for seed in seeds] for config, pipeline in cells]
 

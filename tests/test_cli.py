@@ -1,6 +1,8 @@
 import json
+import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -110,6 +112,21 @@ class TestTrain:
         assert main(["train", "--config", cfg, "--out", str(out), "--epochs", "4"]) == 0
         history = (out / "history.csv").read_text().strip().split("\n")
         assert len(history) == 1 + 4
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    def test_out_naming_a_file_exits_2_before_training(self, tmp_path, capsys, monkeypatch,
+                                                       under):
+        import netgen.cli as cli
+
+        calls = []
+        monkeypatch.setattr(cli, "run_seeds", lambda *args: calls.append(args))
+        (tmp_path / "f").write_text("kept")
+        out = tmp_path / "f" / "sub" if under else tmp_path / "f"
+        cfg = write_config(tmp_path, base_config(tmp_path))
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"'{out}'" in err and "not a directory" in err
+        assert calls == [] and (tmp_path / "f").read_text() == "kept"
 
     def test_pipeline_from_config(self, tmp_path):
         raw = base_config(tmp_path, pipeline="seq-gru")
@@ -485,6 +502,50 @@ class TestInterpretCommand:
             err = capsys.readouterr().err
             assert "t=40" in err and f"t={t}" in err
             assert not out.exists()
+
+    def test_roi_relabelled_dataset_directory_permutes_the_interpretation(self, tmp_path):
+        raw = base_config(tmp_path)
+        raw["dataset"]["synth"].update(v=12, t=48, n=40, modules={"m1": 4, "m2": 4, "m3": 4})
+        raw["train"]["epochs"] = 3
+        data, copy = tmp_path / "data", tmp_path / "permuted"
+        assert main(["synth", "--config", write_config(tmp_path, raw), "--out", str(data)]) == 0
+        perm = np.random.default_rng(1).permutation(12)  # ROI j of the copy is ROI perm[j]
+        place = np.argsort(perm)  # ROI i is ROI place[i] of the copy
+        shutil.copytree(data, copy)
+        for sample in (copy / "samples").iterdir():
+            rows = sample.read_text().splitlines()
+            sample.write_text("".join(rows[i] + "\n" for i in perm))
+        modules = (copy / "modules.csv").read_text().splitlines()
+        (copy / "modules.csv").write_text("".join(
+            f"{place[int(roi)]},{name}\n" for roi, name in (line.split(",") for line in modules)))
+
+        configs = {root: write_config(tmp_path, {**raw, "dataset": {"path": str(root)}},
+                                      name=f"{root.name}.json") for root in (data, copy)}
+        assert main(["train", "--config", configs[data], "--out", str(tmp_path / "run")]) == 0
+        outs = {}
+        for root, cfg in configs.items():
+            outs[root] = out = tmp_path / f"interp-{root.name}"
+            assert main(["interpret", "--config", cfg, "--out", str(out),
+                         "--checkpoint", str(tmp_path / "run" / "checkpoint.json")]) == 0
+
+        def table(root, name):
+            rows = (outs[root] / name).read_text().splitlines()
+            return [[float(x) for x in row.split(",")] for row in rows[name.startswith("edges"):]]
+
+        np.testing.assert_allclose(table(copy, "mean_graph_all.csv"),
+                                   np.array(table(data, "mean_graph_all.csv"))[perm][:, perm],
+                                   rtol=0, atol=1e-9)  # the CSV holds 9 significant digits
+        # An edge whose p lies within 1e-9 of alpha could be flagged on either side.
+        edges = {root: [(int(p), int(q)) for p, q, _, pvalue in table(root, "edges_significant.csv")
+                        if abs(pvalue - 0.05) > 1e-9] for root in outs}
+        assert edges[data]
+        assert {tuple(sorted((int(perm[p]), int(perm[q])))) for p, q in edges[copy]} == set(
+            edges[data])
+        runs = {root: json.loads((outs[root] / "run.json").read_text()) for root in outs}
+        assert runs[copy]["n_edges_tested"] == runs[data]["n_edges_tested"]
+        if all(len(edges[root]) == runs[root]["n_edges_flagged"] for root in outs):
+            assert ((outs[copy] / "module_scores.csv").read_bytes()
+                    == (outs[data] / "module_scores.csv").read_bytes())
 
     def test_missing_checkpoint_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, base_config(tmp_path))

@@ -1,9 +1,11 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netgen.dataset import DatasetError, ModulePartition, SynthSpec, generate_synthetic
+from netgen.dataset import Dataset, DatasetError, ModulePartition, SynthSpec, generate_synthetic
 from netgen.encoders import EncoderConfig
 from netgen.graphgen import LossWeights
 from netgen.interpret import (
@@ -70,6 +72,71 @@ class TestCollectGraphs:
         tm2, _ = train_fn(tm.config, ds, pipeline="gnn-uniform")
         with pytest.raises(ValueError, match="does not generate graphs"):
             collect_graphs(tm2, ds)
+
+
+@functools.lru_cache(maxsize=None)
+def invariance_run(kind):
+    """A 3-epoch model with a `kind` encoder and the v=12 data it trained on."""
+    ds = generate_synthetic(
+        SynthSpec(v=12, t=48, n=40, modules={"m1": 4, "m2": 4, "m3": 4}, planted="m1"), seed=0
+    )
+    cfg = TrainConfig(encoder=EncoderConfig(kind=kind, window=8, dim=4),
+                      predictor=GcnConfig(widths=(8, 4), mlp_hidden=8), lr=1e-3, batch_size=8,
+                      epochs=3, split=SplitSpec(0.5, 0.25, 0.25, seed=0))
+    return train(cfg, ds)[0], ds
+
+
+def clear_of_alpha(edges: EdgeSet) -> EdgeSet:
+    """`edges` less those whose p lies within 1e-9 of alpha: graphs equal
+    only to the last bit may put such an edge on either side of alpha."""
+    kept = [e for e in edges.edges if abs(e.pvalue - edges.alpha) > 1e-9]
+    return EdgeSet(edges=kept, alpha=edges.alpha, n_tested=edges.n_tested)
+
+
+class TestInvariances:
+    """Metamorphic checks of the interpretation: each compares two runs."""
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.5])
+    @pytest.mark.parametrize("kind", ["gru", "cnn"])
+    def test_roi_relabelling_permutes_graphs_edges_and_modules(self, kind, alpha):
+        tm, ds = invariance_run(kind)
+        perm = np.random.default_rng(1).permutation(ds.v)  # new ROI j is old ROI perm[j]
+        place = np.argsort(perm)  # old ROI i is new ROI place[i]
+        permuted = Dataset(ids=ds.ids, x=ds.x[:, perm], y=ds.y, class_names=ds.class_names,
+                           partition=ModulePartition({name: place[list(members)]
+                                                      for name, members
+                                                      in ds.partition.modules.items()}))
+        graphs, labels = collect_graphs(tm, ds)
+        permuted_graphs, permuted_labels = collect_graphs(tm, permuted)
+        # P A P^T, equal within rounding: BLAS may block the rows differently
+        np.testing.assert_allclose(permuted_graphs, graphs[:, perm][:, :, perm], rtol=0,
+                                   atol=1e-12)
+        assert np.array_equal(permuted_labels, labels)
+
+        edges = clear_of_alpha(edge_ttest(graphs, labels, alpha))
+        permuted_edges = clear_of_alpha(edge_ttest(permuted_graphs, labels, alpha))
+        assert edges.edges
+        assert permuted_edges.n_tested == edges.n_tested
+        mapped = {tuple(sorted((int(perm[e.p]), int(perm[e.q])))) for e in permuted_edges.edges}
+        assert mapped == edges.pairs()
+        assert (module_difference_scores(permuted_edges, permuted.partition, ds.v)
+                == module_difference_scores(edges, ds.partition, ds.v))
+
+    @pytest.mark.parametrize("alpha", [0.05, 1.0])
+    @pytest.mark.parametrize("kind", ["gru", "cnn"])
+    def test_label_swap_negates_t_and_keeps_p(self, kind, alpha):
+        tm, ds = invariance_run(kind)
+        swapped = Dataset(ids=ds.ids, x=ds.x, y=1 - ds.y, partition=ds.partition,
+                          class_names=ds.class_names[::-1])
+        graphs, labels = collect_graphs(tm, ds)
+        swapped_graphs, swapped_labels = collect_graphs(tm, swapped)
+        assert np.array_equal(swapped_graphs, graphs)
+        edges = edge_ttest(graphs, labels, alpha)
+        swapped_edges = edge_ttest(swapped_graphs, swapped_labels, alpha)
+        assert edges.edges and swapped_edges.n_tested == edges.n_tested
+        assert ([(e.p, e.q, e.pvalue) for e in swapped_edges.edges]
+                == [(e.p, e.q, e.pvalue) for e in edges.edges])
+        assert [e.t for e in swapped_edges.edges] == [-e.t for e in edges.edges]
 
 
 class TestMeanGraph:

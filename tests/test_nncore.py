@@ -356,17 +356,19 @@ class TestNoGrad:
         assert x.grad is None and f.grad is None
         assert all(p.grad is not None for _, p in model.named_params())
 
+    # Leaves as recording tensors, as constant tensors, and as the plain
+    # arrays the library passes.
     @pytest.mark.parametrize("pipeline", PIPELINES)
     def test_step_gradients_match_recording_leaves_bit_for_bit(self, pipeline):
         xs, feats, y = planted_batch()
         grads = []
-        for requires_grad in (True, False):
+        for leaf in (Tensor, lambda a: Tensor(a, requires_grad=False), np.asarray):
             with nn.default_dtype(np.float32):
                 model = small_model(pipeline)
-                leaves = (Tensor(a, requires_grad=requires_grad) for a in (xs, feats))
-                logits, graphs = model.forward(*leaves)
+                logits, graphs = model.forward(leaf(xs), leaf(feats))
                 total_loss(logits, y, graphs, LossWeights())[0].backward()
             grads.append({name: p.grad for name, p in model.named_params()})
-        recorded, constant = grads
-        for name, g in recorded.items():
-            assert g.dtype == constant[name].dtype and np.array_equal(g, constant[name]), name
+        recorded = grads[0]
+        for other in grads[1:]:
+            for name, g in recorded.items():
+                assert g.dtype == other[name].dtype and np.array_equal(g, other[name]), name

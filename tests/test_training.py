@@ -1,3 +1,4 @@
+import base64
 import functools
 import json
 import logging
@@ -20,7 +21,8 @@ from netgen.dataset import (
 )
 from netgen.encoders import EncoderConfig
 from netgen.graphgen import LossWeights, generate_graph
-from netgen.nncore import CheckpointError, Tensor
+from netgen.interpret import collect_graphs
+from netgen.nncore import CheckpointError, Tensor, load_checkpoint
 from netgen.predictor import GcnConfig, build_model
 from netgen.training import (
     ABLATION_VARIANTS,
@@ -249,19 +251,21 @@ class TestTrain:
         with pytest.raises(ValueError, match="train.split.val"):
             train(tiny_config(split=SplitSpec(0.8, 0.0, 0.2, seed=0)), tiny_dataset())
 
+    # A CNN of window 16 needs t >= 44; the dataset has t=24.
     @pytest.mark.parametrize(
-        "ratios,key",
-        [((0.9, 0.01, 0.09), "train.split.val"), ((0.8, 0.07, 0.13), "train.split.val"),
-         ((0.05, 0.475, 0.475), "train.split.train")],
-        ids=["empty-val", "one-class-val", "one-class-train"],
+        "overrides,key",
+        [({"split": SplitSpec(0.9, 0.01, 0.09, seed=0)}, "train.split.val"),
+         ({"split": SplitSpec(0.8, 0.07, 0.13, seed=0)}, "train.split.val"),
+         ({"split": SplitSpec(0.05, 0.475, 0.475, seed=0)}, "train.split.train"),
+         ({"encoder": EncoderConfig(kind="cnn", window=16, dim=4)}, "encoder.window 16")],
+        ids=["empty-val", "one-class-val", "one-class-train", "cnn-window-too-long"],
     )
-    def test_degenerate_split_rejected_before_training(self, monkeypatch, ratios, key):
+    def test_degenerate_split_rejected_before_training(self, monkeypatch, overrides, key):
         import netgen.training as training_mod
 
         monkeypatch.setattr(training_mod, "build_model", None)  # no model gets built
-        cfg = tiny_config(split=SplitSpec(*ratios, seed=0))
-        with pytest.raises(ValueError, match=key):
-            train(cfg, tiny_dataset(n=16))
+        with pytest.raises(ConfigError, match=key):
+            train(tiny_config(**overrides), tiny_dataset(n=16))
 
     def test_split_leaving_class_out_rejected(self):
         ds = tiny_dataset(n=24)
@@ -332,6 +336,22 @@ class TestEvaluate:
         b = evaluate(tm, ds)
         assert a == b
 
+    @pytest.mark.parametrize(
+        "other,message",
+        [(dict(t=48), "trained on series of length t=24 but the dataset has t=48"),
+         (dict(v=8, modules={"m1": 4, "m2": 4}), "trained on v=6 ROIs but the dataset has v=8")],
+        ids=["t", "v"],
+    )
+    def test_dataset_unlike_the_models_rejected(self, tmp_path, other, message):
+        path = tmp_path / "ckpt.json"
+        path.write_text(tiny_checkpoint_text())
+        tm = load_model(path)
+        spec = dict(v=6, t=24, n=24, modules={"m1": 3, "m2": 3}, planted="m1")
+        ds = generate_synthetic(SynthSpec(**{**spec, **other}), seed=0)
+        for call in (evaluate, collect_graphs):
+            with pytest.raises(ConfigError, match=message):
+                call(tm, ds)
+
 
 class TestCheckpointRoundTrip:
     def test_val_metrics_reproduced_bit_exactly(self, tmp_path):
@@ -382,11 +402,14 @@ class TestCheckpointRoundTrip:
             (lambda doc, a: doc["meta"]["shape"].update(classes=["a"]), "meta.shape"),
             (lambda doc, a: doc["meta"]["shape"].update(t=-5), "meta.shape"),
             (lambda doc, a: doc["meta"]["shape"].update(v=1), "meta.shape"),
+            (lambda doc, a: a.update(shape=[-1]), "array 'param.encoder.gru0.bwd.b_hh'"),
+            (lambda doc, a: a.update(shape=None), "array 'param.encoder.gru0.bwd.b_hh'"),
+            (lambda doc, a: a.update(shape=a["shape"][0]), "array 'param.encoder.gru0.bwd.b_hh'"),
         ],
         ids=["truncated-data", "bad-base64", "shape-mismatch", "no-arrays", "no-meta-encoder",
              "extra-meta-encoder-key", "v-string", "v-float", "t-bool", "classes-string",
              "gamma-negative", "gamma-string", "three-classes", "one-class", "t-negative",
-             "v-one"],
+             "v-one", "array-shape-minus-one", "array-shape-null", "array-shape-not-array"],
     )
     def test_corrupt_checkpoint_raises_checkpoint_error(self, tmp_path, corrupt, key):
         tm, _ = train(tiny_config(epochs=1), tiny_dataset())
@@ -421,6 +444,36 @@ class TestCheckpointRoundTrip:
             target = target[part]
         target[leaf[-1]] = data.draw(self.small_json)
         path.write_text(json.dumps(doc))
+        try:
+            load_model(path)
+        except CheckpointError as exc:
+            assert str(path) in str(exc)
+
+    # One field of one saved array set to a JSON value, a shape, a dtype
+    # name or base64 of some bytes, or deleted.
+    array_values = small_json | st.lists(st.integers(-3, 30), max_size=3) | st.sampled_from(
+        ["<f8", ">f8", "<f4", "float64"]) | st.binary(max_size=200).map(
+        lambda raw: base64.b64encode(raw).decode("ascii"))
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_array_fuzz_raises_only_checkpoint_error(self, tmp_path, data):
+        path = tmp_path / "ckpt.json"
+        doc = json.loads(tiny_checkpoint_text())
+        name = data.draw(st.sampled_from(sorted(doc["arrays"])))
+        entry, key = doc["arrays"][name], data.draw(st.sampled_from(["shape", "dtype", "data"]))
+        if data.draw(st.booleans()):
+            del entry[key]
+        else:
+            entry[key] = data.draw(self.array_values)
+        path.write_text(json.dumps(doc))
+        try:
+            _, arrays = load_checkpoint(path)
+        except CheckpointError as exc:
+            assert str(path) in str(exc) and f"array '{name}'" in str(exc)
+            return
+        assert isinstance(entry["shape"], list) and arrays[name].shape == tuple(entry["shape"])
         try:
             load_model(path)
         except CheckpointError as exc:
